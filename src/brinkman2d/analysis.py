@@ -26,7 +26,7 @@ from .discretization import (
 )
 from .grid import StaggeredGrid, boundary_velocity_mask, build_grid
 from .media import NormalizedPermeability, PermeabilityField, normalize, uniform_kstar
-from .scaling import Regime, classify_regime
+from .scaling import Regime, check_da_values, classify_regime
 from .solvers import SolverConfig, direct_solve, gmres_solve
 
 #: Largest matrix decomposed densely for kappa / spectra.
@@ -142,6 +142,44 @@ def check_divergence(grid: StaggeredGrid, velocity) -> float:
     return float(np.abs(div).max())
 
 
+def uniform_flow_error(grid: StaggeredGrid, anna: float, gx: float, gy: float) -> float:
+    """Worst deviation of the pinned direct solve from exact uniform flow.
+
+    With K* = 1 and constant wall data ``(gx, gy)`` the discrete system is
+    solved exactly by ``u = gx``, ``v = gy`` and a pressure that is linear
+    with gradient ``-(gx, gy)``.  Returns the max error over u, v, that
+    pressure profile and the discrete divergence.
+    """
+    bc = BoundaryData.uniform(grid, gx, gy)
+    system = assemble_monolithic(grid, uniform_kstar(grid), anna, bc, pin_pressure=True)
+    x = direct_solve(system.matrix, system.rhs)
+    xp, yp = grid.p_coords()
+    p = x[grid.n_velocity:]
+    exact_p = p[0] - gx * (xp - xp[0]) - gy * (yp - yp[0])
+    return max(
+        float(np.abs(x[: grid.n_u] - gx).max()),
+        float(np.abs(x[grid.n_u: grid.n_velocity] - gy).max()),
+        float(np.abs(p - exact_p).max()),
+        check_divergence(grid, x[: grid.n_velocity]),
+    )
+
+
+def nullspace_residual(sizes, anna: float) -> float:
+    """Largest relative residual ``max|M z| / max_i sum_j |M_ij|`` of the
+    constant-pressure vector ``z`` on the unpinned uniform-K* n x n systems,
+    over the grid sizes ``n`` given."""
+    worst = 0.0
+    for n in sizes:
+        grid = build_grid(n, n)
+        bc = BoundaryData.uniform(grid, 0.0, 0.0)  # the matrix does not depend on it
+        matrix = assemble_monolithic(grid, uniform_kstar(grid), anna, bc).matrix
+        z = np.zeros(grid.n_total)
+        z[grid.n_velocity:] = 1.0
+        resid = float(np.abs(matrix @ z).max())
+        worst = max(worst, resid / float(np.abs(matrix).sum(axis=1).max()))
+    return worst
+
+
 def sweep_darcy(
     grid: StaggeredGrid,
     field_: PermeabilityField,
@@ -159,14 +197,7 @@ def sweep_darcy(
     on the pressure-pinned matrix.  A non-converged point is recorded
     and the sweep continues.
     """
-    da = [float(v) for v in da_values]
-    if not da:
-        raise ValueError("da_values must be nonempty")
-    if any(v <= 0.0 for v in da):
-        raise ValueError("da_values must be positive")
-    if any(b <= a for a, b in zip(da, da[1:])):
-        raise ValueError("da_values must be strictly ascending")
-
+    da = check_da_values(da_values)
     kstar = normalize(field_)
     rows: list[RegimeRow] = []
     for value in da:

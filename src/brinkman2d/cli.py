@@ -23,11 +23,10 @@ from .media import (
     generate_contrast_field,
     load_field,
     normalize,
-    uniform_kstar,
     write_field,
 )
 from .scaling import classify_regime
-from .solvers import SolverConfig, direct_solve, gmres_solve
+from .solvers import gmres_solve
 
 #: Fixed verification suite, in report order.
 VERIFY_CHECKS = (
@@ -53,15 +52,6 @@ def _field_for(config: RunConfig, grid: StaggeredGrid):
     )
 
 
-def _solver_config(config: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        tol=config.tol,
-        maxit=config.maxit,
-        restart=config.restart,
-        preconditioner=config.preconditioner,
-    )
-
-
 def write_scalar_field(path, grid: StaggeredGrid, values, name: str) -> None:
     """Solution-field file: ``#field <name>`` header, ``nx ny``, one value per line."""
     lines = [f"#field {name}", f"{grid.nx} {grid.ny}"]
@@ -78,7 +68,7 @@ def run_solve(config: RunConfig, quiet: bool = False) -> int:
     for warning in system.meta["warnings"]:
         _say(quiet, f"warning: {warning}")
 
-    x, report = gmres_solve(system.matrix, system.rhs, _solver_config(config))
+    x, report = gmres_solve(system.matrix, system.rhs, config.solver_config())
     div_max = analysis.check_divergence(grid, x[: grid.n_velocity])
 
     out = config.out_dir
@@ -115,7 +105,7 @@ def run_sweep(config: RunConfig, quiet: bool = False) -> int:
         config.da_values,
         config.viscosity_ratio(),
         bc,
-        _solver_config(config),
+        config.solver_config(),
         pin_pressure=config.pin_pressure,
     )
     out = config.out_dir
@@ -154,20 +144,15 @@ def run_verify(config: RunConfig, quiet: bool = False) -> int:
 
     # uniform flow: constant data and uniform K* admit an exact discrete solution
     grid = build_grid(config.nx, config.ny)
-    bc = BoundaryData.uniform(grid, config.gx, config.gy)
     anna = config.effective_anna()
-    system = assemble_monolithic(grid, uniform_kstar(grid), anna, bc, pin_pressure=True)
-    x = direct_solve(system.matrix, system.rhs)
-    err_u = float(np.abs(x[: grid.n_u] - config.gx).max())
-    err_v = float(np.abs(x[grid.n_u: grid.n_velocity] - config.gy).max())
-    div = analysis.check_divergence(grid, x[: grid.n_velocity])
-    err = max(err_u, err_v, div)
+    err = analysis.uniform_flow_error(grid, anna, config.gx, config.gy)
     results["uniform_flow"] = (err <= 1e-10, f"max error {err:.3e} (<= 1e-10)")
 
     # divergence of a converged iterative solve on the configured problem
     kstar = normalize(_field_for(config, grid))
+    bc = BoundaryData.uniform(grid, config.gx, config.gy)
     system = assemble_monolithic(grid, kstar, anna, bc, pin_pressure=config.pin_pressure)
-    xg, report = gmres_solve(system.matrix, system.rhs, _solver_config(config))
+    xg, report = gmres_solve(system.matrix, system.rhs, config.solver_config())
     div = analysis.check_divergence(grid, xg[: grid.n_velocity])
     bound = 10.0 * config.tol * float(np.linalg.norm(xg[: grid.n_velocity]))
     ok = report.converged and div <= bound
@@ -205,16 +190,7 @@ def run_verify(config: RunConfig, quiet: bool = False) -> int:
     )
 
     # constant-pressure nullspace of the unpinned matrix
-    worst = 0.0
-    for n in (4, 8, 20):
-        ngrid = build_grid(n, n)
-        nbc = BoundaryData.uniform(ngrid, config.gx, config.gy)
-        nsys = assemble_monolithic(ngrid, uniform_kstar(ngrid), anna, nbc, pin_pressure=False)
-        z = np.zeros(ngrid.n_total)
-        z[ngrid.n_velocity:] = 1.0
-        resid = float(np.abs(nsys.matrix @ z).max())
-        scale = float(np.abs(nsys.matrix).sum(axis=1).max())
-        worst = max(worst, resid / scale)
+    worst = analysis.nullspace_residual((4, 8, 20), anna)
     results["nullspace"] = (worst <= 1e-14, f"relative residual {worst:.3e} (<= 1e-14)")
 
     lines = []

@@ -15,7 +15,8 @@ import numpy as np
 
 from ._util import atomic_write_text
 from .media import PATTERNS
-from .scaling import ReferenceScales, dimensionless_groups
+from .scaling import ReferenceScales, check_da_values, dimensionless_groups
+from .solvers import SettingError, SolverConfig
 
 
 class ConfigError(ValueError):
@@ -26,16 +27,51 @@ class ConfigError(ValueError):
         self.key = key
 
 
+def _parse_bool(value: str) -> bool:
+    if value.lower() in ("true", "yes", "1", "on"):
+        return True
+    if value.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(value)
+
+
+def _parse_da(spec: str) -> tuple[float, ...]:
+    if spec.startswith("logspace:"):
+        start, end, count = spec[len("logspace:"):].split(",")
+        return tuple(float(v) for v in np.logspace(float(start), float(end), int(count)))
+    return tuple(float(v) for v in spec.split(","))
+
+
 _SCALE_KEYS = ("scales.l_ref", "scales.u_ref", "scales.mu", "scales.mu_eff", "scales.k_max")
-_KNOWN_KEYS = {
-    "grid.nx", "grid.ny",
-    "anna", *_SCALE_KEYS,
-    "field.pattern", "field.contrast_x", "field.contrast_y", "field.seed", "field.path",
-    "bc.gx", "bc.gy",
-    "solver.tol", "solver.maxit", "solver.restart",
-    "solver.preconditioner", "solver.pin_pressure",
-    "sweep.da",
-    "output.dir", "output.timings",
+#: Every config key and the RunConfig field it sets; the scales.* keys
+#: are gathered into ``scales``.
+_KEYS = {
+    "grid.nx": ("nx", int),
+    "grid.ny": ("ny", int),
+    "anna": ("anna", float),
+    **{key: (key, float) for key in _SCALE_KEYS},
+    "field.pattern": ("field_pattern", str),
+    "field.contrast_x": ("contrast_x", float),
+    "field.contrast_y": ("contrast_y", float),
+    "field.seed": ("seed", int),
+    "field.path": ("field_path", str),
+    "bc.gx": ("gx", float),
+    "bc.gy": ("gy", float),
+    "solver.tol": ("tol", float),
+    "solver.maxit": ("maxit", int),
+    "solver.restart": ("restart", int),
+    "solver.preconditioner": ("preconditioner", str),
+    "solver.pin_pressure": ("pin_pressure", _parse_bool),
+    "sweep.da": ("da_values", _parse_da),
+    "output.dir": ("out_dir", str),
+    "output.timings": ("timings", _parse_bool),
+}
+#: What each value parser accepts, for error messages.
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    _parse_bool: "a boolean",
+    _parse_da: "a comma list of numbers or logspace:start_exp,end_exp,count",
 }
 
 
@@ -76,23 +112,19 @@ class RunConfig:
             raise ConfigError("field.pattern", f"must be one of {PATTERNS}, got {self.field_pattern!r}")
         if self.contrast_x < 1.0 or self.contrast_y < 1.0:
             raise ConfigError("field.contrast_x", "contrasts must be >= 1")
-        if not self.tol > 0.0:
-            raise ConfigError("solver.tol", f"must be positive, got {self.tol}")
-        if self.maxit is not None and self.maxit < 1:
-            raise ConfigError("solver.maxit", f"must be >= 1, got {self.maxit}")
-        if self.restart is not None and self.restart < 1:
-            raise ConfigError("solver.restart", f"must be >= 1, got {self.restart}")
-        if self.preconditioner not in ("none", "jacobi"):
-            raise ConfigError("solver.preconditioner", f"unknown value {self.preconditioner!r}")
+        self.solver_config()
         if self.da_values is not None:
-            da = tuple(float(v) for v in self.da_values)
-            if not da:
-                raise ConfigError("sweep.da", "sweep list must be nonempty")
-            if any(v <= 0.0 for v in da):
-                raise ConfigError("sweep.da", "sweep values must be positive")
-            if any(b <= a for a, b in zip(da, da[1:])):
-                raise ConfigError("sweep.da", "sweep values must be strictly ascending")
-            self.da_values = da
+            try:
+                self.da_values = check_da_values(self.da_values)
+            except ValueError as exc:
+                raise ConfigError("sweep.da", str(exc)) from exc
+
+    def solver_config(self) -> SolverConfig:
+        """The GMRES settings of this run; a bad one raises ConfigError('solver.<field>')."""
+        try:
+            return SolverConfig(self.tol, self.maxit, self.restart, self.preconditioner)
+        except SettingError as exc:
+            raise ConfigError(f"solver.{exc.field}", str(exc)) from exc
 
     def effective_anna(self) -> float:
         if self.anna is not None:
@@ -107,7 +139,7 @@ class RunConfig:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    kv: dict[str, str] = {}
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -116,107 +148,31 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(line, f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(key, f"{source}:{lineno}: unknown key")
-        if key in kv:
+        name, parse = _KEYS[key]
+        if name in values:
             raise ConfigError(key, f"{source}:{lineno}: duplicate key")
         if not value:
             raise ConfigError(key, f"{source}:{lineno}: empty value")
-        kv[key] = value
-
-    def take_float(key: str):
-        if key not in kv:
-            return None
-        value = kv.pop(key)
         try:
-            return float(value)
+            values[name] = parse(value)
         except ValueError as exc:
-            raise ConfigError(key, f"not a number: {value!r}") from exc
+            raise ConfigError(key, f"{source}:{lineno}: not {_EXPECTED[parse]}: {value!r}") from exc
 
-    def take_int(key: str):
-        if key not in kv:
-            return None
-        value = kv.pop(key)
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(key, f"not an integer: {value!r}") from exc
-
-    def take_bool(key: str):
-        if key not in kv:
-            return None
-        value = kv.pop(key).lower()
-        if value in ("true", "yes", "1", "on"):
-            return True
-        if value in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(key, f"not a boolean: {value!r}")
-
-    nx = take_int("grid.nx")
-    ny = take_int("grid.ny")
-    if nx is None or ny is None:
+    if "nx" not in values or "ny" not in values:
         raise ConfigError("grid.nx", "grid.nx and grid.ny are required")
-
-    scales = None
-    scale_vals = {k: take_float(k) for k in _SCALE_KEYS}
-    given = [k for k, v in scale_vals.items() if v is not None]
+    given = [key for key in _SCALE_KEYS if key in values]
     if given:
-        missing = [k for k, v in scale_vals.items() if v is None]
+        missing = [key for key in _SCALE_KEYS if key not in values]
         if missing:
             raise ConfigError(missing[0], "all five scales.* keys are required together")
         try:
-            scales = ReferenceScales(*(scale_vals[k] for k in _SCALE_KEYS))
+            values["scales"] = ReferenceScales(*(values.pop(key) for key in _SCALE_KEYS))
         except ValueError as exc:
             raise ConfigError(given[0], str(exc)) from exc
-
-    da_values = None
-    if "sweep.da" in kv:
-        da_values = _parse_da(kv.pop("sweep.da"))
-
-    defaults = RunConfig.__dataclass_fields__
-    cfg = RunConfig(
-        nx=nx,
-        ny=ny,
-        anna=take_float("anna"),
-        scales=scales,
-        field_pattern=kv.pop("field.pattern", None),
-        contrast_x=_or_default(take_float("field.contrast_x"), 1.0),
-        contrast_y=_or_default(take_float("field.contrast_y"), 1.0),
-        seed=_or_default(take_int("field.seed"), 0),
-        field_path=kv.pop("field.path", None),
-        gx=_or_default(take_float("bc.gx"), defaults["gx"].default),
-        gy=_or_default(take_float("bc.gy"), defaults["gy"].default),
-        tol=_or_default(take_float("solver.tol"), defaults["tol"].default),
-        maxit=take_int("solver.maxit"),
-        restart=take_int("solver.restart"),
-        preconditioner=kv.pop("solver.preconditioner", defaults["preconditioner"].default),
-        pin_pressure=_or_default(take_bool("solver.pin_pressure"), False),
-        da_values=da_values,
-        out_dir=kv.pop("output.dir", defaults["out_dir"].default),
-        timings=_or_default(take_bool("output.timings"), True),
-    )
-    return cfg
-
-
-def _or_default(value, default):
-    return default if value is None else value
-
-
-def _parse_da(spec: str) -> tuple[float, ...]:
-    spec = spec.strip()
-    if spec.startswith("logspace:"):
-        parts = spec[len("logspace:"):].split(",")
-        if len(parts) != 3:
-            raise ConfigError("sweep.da", f"logspace needs start_exp,end_exp,count, got {spec!r}")
-        try:
-            start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigError("sweep.da", f"bad logspace spec {spec!r}") from exc
-        return tuple(float(v) for v in np.logspace(start, end, count))
-    try:
-        return tuple(float(v) for v in spec.split(","))
-    except ValueError as exc:
-        raise ConfigError("sweep.da", f"expected comma-separated numbers, got {spec!r}") from exc
+    # keys left out fall back to the RunConfig defaults
+    return RunConfig(**values)
 
 
 def parse_config(path) -> RunConfig:

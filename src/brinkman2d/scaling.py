@@ -91,6 +91,18 @@ def classify_regime(
     return Regime.BRINKMAN
 
 
+def check_da_values(da_values) -> tuple[float, ...]:
+    """A Darcy-number sweep as floats: nonempty, positive, strictly ascending."""
+    da = tuple(float(v) for v in da_values)
+    if not da:
+        raise ValueError("Da list must be nonempty")
+    if any(v <= 0.0 for v in da):
+        raise ValueError("Da values must be positive")
+    if any(b <= a for a, b in zip(da, da[1:])):
+        raise ValueError("Da values must be strictly ascending")
+    return da
+
+
 def _check_sizes(grid: StaggeredGrid, u_star, p_star) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u_star, dtype=float)
     p = np.asarray(p_star, dtype=float)

@@ -325,6 +325,22 @@ class TestErrorPaths:
         assert main(["solve", cfg]) == 2
         assert "solver.magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("solver.tol", "0.0"),
+        ("solver.maxit", "0"),
+        ("solver.restart", "-3"),
+        ("solver.preconditioner", "ilu"),
+    ])
+    def test_bad_solver_setting_named(self, tmp_path, capsys, key, value):
+        text = UNIFORM_SOLVE.format(out=tmp_path / "out").replace(
+            "solver.tol = 1e-12", f"{key} = {value}")
+        with pytest.raises(ConfigError, match=key) as info:
+            parse_config_text(text)
+        assert info.value.key == key
+        cfg = write_cfg(tmp_path, text)
+        assert main(["solve", cfg]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_missing_field_file(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,

@@ -129,6 +129,12 @@ class TestGmres:
         with pytest.raises(ValueError):
             gmres_solve(np.ones((3, 4)), np.ones(3))
 
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="matrix has NaN or inf"):
+            gmres_solve(sp.diags([1.0, np.nan, 1.0], format="csr"), np.ones(3))
+        with pytest.raises(ValueError, match="rhs has NaN or inf"):
+            gmres_solve(np.eye(3), np.array([1.0, np.inf, 0.0]))
+
 
 class TestJacobi:
     def test_identity_preconditioner_is_identity(self):
@@ -191,6 +197,21 @@ class TestDirect:
         diag[17] = 0.0
         with pytest.raises(SingularMatrixError):
             direct_solve(sp.diags(diag, format="csr"), np.ones(n))
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="matrix has NaN or inf"):
+            direct_solve(np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="rhs has NaN or inf"):
+            direct_solve(np.eye(3), np.array([1.0, np.nan, 0.0]))
+
+    def test_csc_input_with_explicit_zeros_left_unchanged(self):
+        A = sp.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]))
+        A.data[A.data == 1.0] = 0.0  # explicit zeros, kept in the structure
+        nnz, data = A.nnz, A.data.copy()
+        x = direct_solve(A, np.ones(3))
+        np.testing.assert_allclose(x, [0.5, 1.0 / 3.0, 0.25], rtol=1e-15)
+        assert A.nnz == nnz
+        assert np.array_equal(A.data, data)
 
     def test_pinned_uniform_flow_recovered_exactly(self):
         grid = build_grid(6, 5)
