@@ -26,7 +26,7 @@ from .media import (
     write_field,
 )
 from .scaling import classify_regime
-from .solvers import gmres_solve
+from .solvers import SettingError, gmres_solve
 
 #: Fixed verification suite, in report order.
 VERIFY_CHECKS = (
@@ -245,6 +245,9 @@ def main(argv=None) -> int:
         return dispatch[args.command](config, quiet=args.quiet)
     except (ConfigError, FieldFormatError, InvalidFieldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SettingError as exc:  # a setting the solver refused at run time
+        print(f"error: solver.{exc}", file=sys.stderr)
         return 2
 
 

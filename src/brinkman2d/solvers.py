@@ -1,7 +1,8 @@
 """Linear solvers for the monolithic system.
 
-The primary path is an in-house restarted GMRES (Arnoldi with modified
-Gram-Schmidt, Givens-rotation least squares); the reference path is a
+The primary path is an in-house restarted GMRES (Arnoldi with classical
+Gram-Schmidt run twice (CGS2) as BLAS matrix-vector products,
+Givens-rotation least squares); the reference path is a
 sparse LU factorization (SuperLU) used as the oracle in verification
 runs.  Full GMRES (restart = maxit) is the default, matching the
 replication setting of the regime study; restarting is exposed for
@@ -10,6 +11,7 @@ experimentation.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +26,7 @@ class SingularMatrixError(RuntimeError):
 
 
 class SettingError(ValueError):
-    """Invalid :class:`SolverConfig` value; ``field`` names the setting."""
+    """Invalid or unrunnable :class:`SolverConfig` value; ``field`` names the setting."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field} {message}")
@@ -106,6 +108,24 @@ def _linear_system(matrix, rhs):
     return A, b
 
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_basis_fits(n: int, m: int) -> None:
+    """Refuse a GMRES(m) cycle whose basis ``Q`` and Hessenberg ``H`` exceed
+    physical memory, before either is allocated."""
+    need = (m + 1) * n * 8 + (m + 1) * m * 8
+    available = _physical_memory_bytes()
+    if need > available:
+        raise SettingError(
+            "restart",
+            f"m = {m} on n = {n} unknowns needs {need / 2**30:.1f} GiB for the Krylov basis, "
+            f"more than the {available / 2**30:.1f} GiB of physical memory; "
+            "set solver.restart lower",
+        )
+
+
 def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     """Solve M x = rhs by restarted GMRES from a zero initial guess.
 
@@ -113,6 +133,9 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     the current subspace) terminates the iteration with the current
     iterate; hitting maxit returns the best iterate with
     ``converged=False``.  The result is deterministic for fixed inputs.
+    Raises :class:`SettingError` on ``restart`` when one cycle's Krylov
+    basis cannot fit in physical memory (the default ``maxit = n`` asks
+    for an ``(n+1) x n`` basis).
     """
     cfg = config or SolverConfig()
     A, b = _linear_system(matrix, rhs)
@@ -121,6 +144,7 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     maxit = cfg.maxit if cfg.maxit is not None else n
     restart = cfg.restart if cfg.restart is not None else maxit
     restart = min(restart, maxit)
+    _check_basis_fits(n, min(restart, n))
 
     if cfg.preconditioner == "jacobi":
         scale = apply_jacobi(A)
@@ -156,38 +180,40 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
         m = min(restart, maxit - total_iters, n)
         Q = np.empty((m + 1, n))
         H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = r_norm
+        cs: list[float] = []
+        sn: list[float] = []
+        g = [r_norm]
         Q[0] = r / r_norm
 
         k_used = 0
-        est = final_relres
         for k in range(m):
             w = op(Q[k])
             w_scale = float(np.linalg.norm(w))
-            for i in range(k + 1):  # modified Gram-Schmidt
-                hik = float(Q[i] @ w)
-                H[i, k] = hik
-                w -= hik * Q[i]
+            Qk = Q[: k + 1]
+            h = Qk @ w  # classical Gram-Schmidt, run twice (CGS2)
+            w -= h @ Qk
+            h2 = Qk @ w
+            w -= h2 @ Qk
+            h += h2
             h_next = float(np.linalg.norm(w))
-            H[k + 1, k] = h_next
 
-            for i in range(k):
-                t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-                H[i, k] = t
-            denom = float(np.hypot(H[k, k], H[k + 1, k]))
+            col = h.tolist()
+            col.append(h_next)
+            for i in range(k):  # earlier Givens rotations, in order
+                t = cs[i] * col[i] + sn[i] * col[i + 1]
+                col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1]
+                col[i] = t
+            denom = float(np.hypot(col[k], col[k + 1]))
             if denom == 0.0:
-                cs[k], sn[k] = 1.0, 0.0
+                c, s = 1.0, 0.0
             else:
-                cs[k] = H[k, k] / denom
-                sn[k] = H[k + 1, k] / denom
-            H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
-            H[k + 1, k] = 0.0
-            g[k + 1] = -sn[k] * g[k]
-            g[k] = cs[k] * g[k]
+                c, s = col[k] / denom, col[k + 1] / denom
+            cs.append(c)
+            sn.append(s)
+            col[k] = c * col[k] + s * col[k + 1]
+            H[: k + 1, k] = col[: k + 1]
+            g.append(-s * g[k])
+            g[k] = c * g[k]
 
             total_iters += 1
             k_used = k + 1
@@ -201,7 +227,7 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
                 break
             Q[k + 1] = w / h_next
 
-        y = _solve_upper(H[:k_used, :k_used], g[:k_used])
+        y = _solve_upper(H[:k_used, :k_used], np.array(g[:k_used]))
         x = x + Q[:k_used].T @ y
 
         if breakdown or total_iters >= maxit:

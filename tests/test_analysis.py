@@ -187,6 +187,12 @@ class TestSweep:
         table = sweep_darcy(grid, field, (1e-5, 1.0, 1e5), 1.0, bc, SolverConfig())
         assert [r.regime.value for r in table.rows] == ["darcy", "brinkman", "stokes"]
 
+    def test_replication_sequence(self, regime_sweep):
+        assert [row.iterations for row in regime_sweep.rows] == \
+            [1142, 1142, 1142, 1129, 1019, 828, 546, 314, 126, 44, 37]
+        assert [row.kappa_flag for row in regime_sweep.rows] == \
+            ["pinned"] * 9 + ["pinned-singular"] * 2
+
     @pytest.mark.xfail(
         strict=True,
         reason="unpreconditioned GMRES stopped at relres 1e-6 does not bound the "

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import brinkman2d.solvers
 from brinkman2d import (
     ReferenceScales,
     RunConfig,
@@ -340,6 +341,15 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, text)
         assert main(["solve", cfg]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    def test_krylov_basis_over_physical_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(brinkman2d.solvers, "_physical_memory_bytes", lambda: 2**16)
+        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "out"))
+        assert main(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver.restart m = 208 on n = 208 unknowns")
+        assert "0.0 GiB of physical memory" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_field_file(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -13,6 +13,7 @@ from brinkman2d import (
     gmres_solve,
     uniform_kstar,
 )
+from brinkman2d.solvers import SettingError
 
 MONOTONE_SLACK = 1e-14
 
@@ -20,6 +21,57 @@ MONOTONE_SLACK = 1e-14
 def shifted_random(n, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, n)) + n * np.eye(n), rng.standard_normal(n)
+
+
+def spd_tridiagonal(n):
+    return sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+
+
+class CountingMatrix(sp.csr_matrix):
+    """CSR matrix that counts its products with a vector."""
+
+    matvecs = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.matvecs += 1
+        return super().__matmul__(other)
+
+
+def mgs_gmres_reference(A, b, tol):
+    """Full GMRES with scalar modified Gram-Schmidt and Givens loops, the
+    form ``gmres_solve`` had before CGS2; returns ``(x, history)``."""
+    n = b.size
+    b_norm = np.linalg.norm(b)
+    Q, H = np.zeros((n + 1, n)), np.zeros((n + 1, n))
+    cs, sn, g = np.zeros(n), np.zeros(n), np.zeros(n + 1)
+    Q[0], g[0] = b / b_norm, b_norm
+    history = [1.0]
+    for k in range(n):
+        w = A @ Q[k]
+        for i in range(k + 1):
+            H[i, k] = Q[i] @ w
+            w -= H[i, k] * Q[i]
+        H[k + 1, k] = np.linalg.norm(w)
+        Q[k + 1] = w / H[k + 1, k]
+        for i in range(k):
+            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                    -sn[i] * H[i, k] + cs[i] * H[i + 1, k])
+        denom = np.hypot(H[k, k], H[k + 1, k])
+        cs[k], sn[k] = H[k, k] / denom, H[k + 1, k] / denom
+        H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
+        H[k + 1, k] = 0.0
+        g[k + 1], g[k] = -sn[k] * g[k], cs[k] * g[k]
+        history.append(abs(g[k + 1]) / b_norm)
+        if history[-1] <= tol:
+            break
+    y = np.linalg.solve(H[: k + 1, : k + 1], g[: k + 1])
+    return Q[: k + 1].T @ y, np.array(history)
+
+
+def counted_solve(matrix, rhs, config):
+    CountingMatrix.matvecs = 0
+    x, report = gmres_solve(CountingMatrix(matrix), rhs, config)
+    return x, report, CountingMatrix.matvecs
 
 
 class TestGmres:
@@ -74,6 +126,17 @@ class TestGmres:
             assert report.converged
             rel = np.linalg.norm(x - reference) / np.linalg.norm(reference)
             assert rel <= 100 * cfg.tol
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_modified_gram_schmidt_reference(self, seed):
+        # CGS2 reorders the orthogonalisation sums; on these well-conditioned
+        # systems (cond < 2) both must agree to ~500 ulps of the unit-norm data
+        A, b = shifted_random(60, seed)
+        x, report = gmres_solve(A, b, SolverConfig(tol=1e-12))
+        x_ref, history_ref = mgs_gmres_reference(A, b, 1e-12)
+        assert report.iterations == len(history_ref) - 1
+        np.testing.assert_allclose(report.residual_history, history_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-13 * np.abs(x_ref).max())
 
     def test_deterministic_repeat(self):
         A, b = shifted_random(80, 7)
@@ -134,6 +197,52 @@ class TestGmres:
             gmres_solve(sp.diags([1.0, np.nan, 1.0], format="csr"), np.ones(3))
         with pytest.raises(ValueError, match="rhs has NaN or inf"):
             gmres_solve(np.eye(3), np.array([1.0, np.inf, 0.0]))
+
+    def test_oversized_krylov_basis_refused_before_allocation(self, monkeypatch):
+        # default maxit = n asks for a (n+1) x n basis: 298 GiB at n = 200000
+        matrix, rhs = sp.identity(200_000, format="csr"), np.ones(200_000)
+
+        def refuse_2d(allocate):
+            def guarded(shape, *args, **kwargs):
+                if np.ndim(shape) == 1 and len(shape) == 2:
+                    raise AssertionError(f"2-D allocation {shape}")
+                return allocate(shape, *args, **kwargs)
+            return guarded
+
+        monkeypatch.setattr(np, "empty", refuse_2d(np.empty))
+        monkeypatch.setattr(np, "zeros", refuse_2d(np.zeros))
+        with pytest.raises(SettingError, match="n = 200000 unknowns") as info:
+            gmres_solve(matrix, rhs)
+        assert info.value.field == "restart"
+        assert "solver.restart" in str(info.value)
+
+    def test_maxit_one(self):
+        _, report, matvecs = counted_solve(spd_tridiagonal(20), np.ones(20),
+                                           SolverConfig(tol=1e-12, maxit=1))
+        assert report.iterations == 1
+        assert not report.converged
+        assert matvecs == 1 + 1 + 1  # iterations + cycles + 1
+        assert len(report.residual_history) == 2
+        assert report.final_relres == pytest.approx(report.residual_history[-1], rel=1e-12)
+
+    def test_gmres_one_converges_on_spd_system(self):
+        A, b = spd_tridiagonal(20), np.linspace(1.0, 2.0, 20)
+        x, report, matvecs = counted_solve(A, b, SolverConfig(tol=1e-8, maxit=500, restart=1))
+        assert report.converged
+        assert matvecs == 2 * report.iterations + 1  # one cycle per iteration
+        assert len(report.residual_history) == report.iterations + 1
+        assert np.all(np.diff(report.residual_history) <= MONOTONE_SLACK)
+        np.testing.assert_allclose(x, direct_solve(A, b), rtol=1e-6)
+
+    def test_restart_two_over_several_cycles(self):
+        A, b = spd_tridiagonal(20), np.linspace(1.0, 2.0, 20)
+        x, report, matvecs = counted_solve(A, b, SolverConfig(tol=1e-8, maxit=500, restart=2))
+        cycles = -(-report.iterations // 2)
+        assert report.converged
+        assert cycles >= 3
+        assert matvecs == report.iterations + cycles + 1
+        assert len(report.residual_history) == report.iterations + 1
+        assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-8
 
 
 class TestJacobi:
