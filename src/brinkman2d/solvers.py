@@ -1,12 +1,15 @@
 """Linear solvers for the monolithic system.
 
-The primary path is an in-house restarted GMRES (Arnoldi with classical
-Gram-Schmidt run twice (CGS2) as BLAS matrix-vector products,
-Givens-rotation least squares); the reference path is a
-sparse LU factorization (SuperLU) used as the oracle in verification
-runs.  Full GMRES (restart = maxit) is the default, matching the
-replication setting of the regime study; restarting is exposed for
-experimentation.
+The primary path is an in-house restarted GMRES: Arnoldi with classical
+Gram-Schmidt run twice (CGS2) as BLAS matrix-vector products, and
+Givens-rotation least squares.  Each step keeps only the last row of
+the accumulated rotation factor, which gives the new rotation from one
+dot product with the raw Hessenberg column; the cycle's rotations are
+applied to the Hessenberg once, row by row, before the triangular
+solve.  The reference path is a sparse LU factorization (SuperLU) used
+as the oracle in verification runs.  Full GMRES (restart = maxit) is
+the default, matching the replication setting of the regime study;
+restarting is exposed for experimentation.
 """
 
 from __future__ import annotations
@@ -63,13 +66,17 @@ class SolveReport:
     """Convergence record of one iterative solve.
 
     residual_history holds the initial relative residual followed by one
-    entry per inner iteration; with a Jacobi preconditioner all residuals
-    are those of the preconditioned system.
+    entry per inner iteration; with a Jacobi preconditioner these and
+    final_relres are residuals of the preconditioned system.  true_relres
+    is ||b - M x||_2 / ||b||_2 of the returned iterate; without a
+    preconditioner it is final_relres.  converged requires both to meet
+    tol, so a preconditioned estimate cannot hide a large true residual.
     """
 
     iterations: int
     converged: bool
     final_relres: float
+    true_relres: float
     residual_history: np.ndarray = field(repr=False)
     wall_time: float = 0.0
 
@@ -120,8 +127,8 @@ def _check_basis_fits(n: int, m: int) -> None:
     if need > available:
         raise SettingError(
             "restart",
-            f"m = {m} on n = {n} unknowns needs {need / 2**30:.1f} GiB for the Krylov basis, "
-            f"more than the {available / 2**30:.1f} GiB of physical memory; "
+            f"m = {m} on n = {n} unknowns needs {need / 2**30:.1f} GiB for the Krylov basis and "
+            f"Hessenberg, more than the {available / 2**30:.1f} GiB of physical memory; "
             "set solver.restart lower",
         )
 
@@ -162,7 +169,9 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     b_norm = float(np.linalg.norm(b_eff))
     if b_norm == 0.0:
         x = np.zeros(n)
-        return x, SolveReport(0, True, 0.0, np.array([0.0]), time.perf_counter() - t0)
+        return x, SolveReport(iterations=0, converged=True, final_relres=0.0, true_relres=0.0,
+                              residual_history=np.array([0.0]),
+                              wall_time=time.perf_counter() - t0)
 
     x = np.zeros(n)
     history = [1.0]
@@ -180,8 +189,9 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
         m = min(restart, maxit - total_iters, n)
         Q = np.empty((m + 1, n))
         H = np.zeros((m + 1, m))
-        cs: list[float] = []
-        sn: list[float] = []
+        cs, sn = np.empty(m), np.empty(m)
+        omega = np.zeros(m + 1)  # last row of the accumulated rotation factor
+        omega[0] = 1.0
         g = [r_norm]
         Q[0] = r / r_norm
 
@@ -196,22 +206,19 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
             w -= h2 @ Qk
             h += h2
             h_next = float(np.linalg.norm(w))
+            H[: k + 1, k] = h
+            H[k + 1, k] = h_next
 
-            col = h.tolist()
-            col.append(h_next)
-            for i in range(k):  # earlier Givens rotations, in order
-                t = cs[i] * col[i] + sn[i] * col[i + 1]
-                col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1]
-                col[i] = t
-            denom = float(np.hypot(col[k], col[k + 1]))
+            # row k of the column rotated by all earlier rotations is omega @ h
+            a = float(omega[: k + 1] @ h)
+            denom = float(np.hypot(a, h_next))
             if denom == 0.0:
                 c, s = 1.0, 0.0
             else:
-                c, s = col[k] / denom, col[k + 1] / denom
-            cs.append(c)
-            sn.append(s)
-            col[k] = c * col[k] + s * col[k + 1]
-            H[: k + 1, k] = col[: k + 1]
+                c, s = a / denom, h_next / denom
+            cs[k], sn[k] = c, s
+            omega[: k + 1] *= -s
+            omega[k + 1] = c
             g.append(-s * g[k])
             g[k] = c * g[k]
 
@@ -227,7 +234,12 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
                 break
             Q[k + 1] = w / h_next
 
-        y = _solve_upper(H[:k_used, :k_used], np.array(g[:k_used]))
+        R = H[: k_used + 1, :k_used]
+        for i in range(k_used):  # the cycle's rotations, once, row by row
+            c, s = cs[i], sn[i]
+            R[i, i:], R[i + 1, i:] = (c * R[i, i:] + s * R[i + 1, i:],
+                                      -s * R[i, i:] + c * R[i + 1, i:])
+        y = _solve_upper(R[:k_used], np.array(g[:k_used]))
         x = x + Q[:k_used].T @ y
 
         if breakdown or total_iters >= maxit:
@@ -235,11 +247,15 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
             final_relres = float(np.linalg.norm(r)) / b_norm
             break
 
-    converged = final_relres <= cfg.tol
+    if cfg.preconditioner == "jacobi":
+        true_relres = float(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
+    else:
+        true_relres = final_relres  # the last residual taken is already b - A x
     report = SolveReport(
         iterations=total_iters,
-        converged=converged,
+        converged=final_relres <= cfg.tol and true_relres <= cfg.tol,
         final_relres=final_relres,
+        true_relres=true_relres,
         residual_history=np.asarray(history),
         wall_time=time.perf_counter() - t0,
     )
@@ -250,8 +266,9 @@ def _solve_upper(R: np.ndarray, g: np.ndarray) -> np.ndarray:
     if R.size == 0:
         return np.zeros(0)
     if np.any(np.diag(R) == 0.0):
-        # stalled iteration on a singular operator: minimum-norm fallback
-        return np.linalg.lstsq(R, g, rcond=None)[0]
+        # stalled iteration on a singular operator: minimum-norm fallback;
+        # triu drops the rounding left below the diagonal by the rotations
+        return np.linalg.lstsq(np.triu(R), g, rcond=None)[0]
     return scipy.linalg.solve_triangular(R, g, lower=False)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from brinkman2d import (
@@ -10,7 +11,9 @@ from brinkman2d import (
     assemble_monolithic,
     build_grid,
     direct_solve,
+    generate_contrast_field,
     gmres_solve,
+    normalize,
     uniform_kstar,
 )
 from brinkman2d.solvers import SettingError
@@ -66,6 +69,59 @@ def mgs_gmres_reference(A, b, tol):
             break
     y = np.linalg.solve(H[: k + 1, : k + 1], g[: k + 1])
     return Q[: k + 1].T @ y, np.array(history)
+
+
+def cgs2_givens_reference(A, b, tol, maxit, restart):
+    """Restarted GMRES with CGS2 and every earlier Givens rotation applied to
+    each new Hessenberg column, the form ``gmres_solve`` had before it kept
+    one rotation row per step; no breakdown handling.  Returns
+    ``(x, history)``."""
+    n = b.size
+    b_norm = np.linalg.norm(b)
+    x = np.zeros(n)
+    history, total = [1.0], 0
+    while True:
+        r = b - A @ x
+        if np.linalg.norm(r) / b_norm <= tol or total >= maxit:
+            return x, np.array(history)
+        m = min(restart, maxit - total)
+        Q, H = np.empty((m + 1, n)), np.zeros((m + 1, m))
+        cs, sn, g = [], [], [np.linalg.norm(r)]
+        Q[0] = r / g[0]
+        for k in range(m):
+            w = A @ Q[k]
+            h = Q[: k + 1] @ w
+            w -= h @ Q[: k + 1]
+            h2 = Q[: k + 1] @ w
+            w -= h2 @ Q[: k + 1]
+            h += h2
+            h_next = np.linalg.norm(w)
+            col = h.tolist() + [h_next]
+            for i in range(k):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      -sn[i] * col[i] + cs[i] * col[i + 1])
+            denom = np.hypot(col[k], col[k + 1])
+            cs.append(col[k] / denom)
+            sn.append(col[k + 1] / denom)
+            col[k] = cs[k] * col[k] + sn[k] * col[k + 1]
+            H[: k + 1, k] = col[: k + 1]
+            g.append(-sn[k] * g[k])
+            g[k] = cs[k] * g[k]
+            total += 1
+            history.append(abs(g[k + 1]) / b_norm)
+            if history[-1] <= tol or total >= maxit:
+                break
+            Q[k + 1] = w / h_next
+        y = scipy.linalg.solve_triangular(H[: k + 1, : k + 1], np.array(g[: k + 1]))
+        x = x + Q[: k + 1].T @ y
+
+
+def layered_system(nx, anna):
+    """Unpinned monolithic system on an nx x nx layered field, contrast 1e5."""
+    grid = build_grid(nx, nx)
+    kstar = normalize(generate_contrast_field(grid, 1e5, 1e5, "layered", 0))
+    system = assemble_monolithic(grid, kstar, anna, BoundaryData.uniform(grid, 1.0, 0.0))
+    return system.matrix, system.rhs
 
 
 def counted_solve(matrix, rhs, config):
@@ -137,6 +193,37 @@ class TestGmres:
         assert report.iterations == len(history_ref) - 1
         np.testing.assert_allclose(report.residual_history, history_ref, rtol=0, atol=1e-13)
         np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-13 * np.abs(x_ref).max())
+
+    @pytest.mark.parametrize("restart, maxit, iterations, history_rtol, x_rtol", [
+        # full GMRES on the singular (unpinned) saddle point: the rotations
+        # formed from omega @ h round differently from those of the rotated
+        # column, and the gaps grow to ~1e-11 over 176 steps
+        (None, 208, 176, 1e-10, 1e-10),
+        # GMRES(7) stagnates here; both stop at maxit after 43 cycles
+        (7, 300, 300, 1e-14, 1e-12),
+    ])
+    def test_matches_per_column_givens_reference(self, restart, maxit, iterations,
+                                                 history_rtol, x_rtol):
+        A, b = layered_system(8, 1e-3)
+        x, report = gmres_solve(A, b, SolverConfig(tol=1e-6, maxit=maxit, restart=restart))
+        x_ref, history_ref = cgs2_givens_reference(A, b, 1e-6, maxit, restart or maxit)
+        assert report.iterations == len(history_ref) - 1 == iterations
+        assert report.true_relres == report.final_relres
+        np.testing.assert_allclose(report.residual_history, history_ref, rtol=history_rtol, atol=0)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=x_rtol * np.abs(x_ref).max())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix", [np.zeros((1, 1)), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    def test_stalled_iteration_returns_zero(self, matrix):
+        # A q0 = 0: the first Hessenberg column is zero, its rotation is the
+        # identity, and the least-squares fallback gives the update y = 0
+        b = np.zeros(matrix.shape[0])
+        b[0] = 1.0
+        x, report = gmres_solve(matrix, b)
+        assert np.all(x == 0.0)
+        assert report.iterations == 1
+        assert not report.converged
+        assert report.final_relres == 1.0
 
     def test_deterministic_repeat(self):
         A, b = shifted_random(80, 7)
@@ -263,6 +350,16 @@ class TestJacobi:
                                 SolverConfig(tol=1e-12, preconditioner="jacobi"))
         assert report.converged
         np.testing.assert_allclose(x, [3.0, 2.0], rtol=1e-13)
+
+    def test_converged_requires_true_residual(self):
+        # the scaled residual meets tol while ||b - A x|| / ||b|| is 3e-4
+        A, b = layered_system(8, 1e-5)
+        x, report = gmres_solve(A, b, SolverConfig(tol=1e-6, preconditioner="jacobi"))
+        assert report.final_relres <= 1e-6
+        assert report.residual_history[-1] <= 1e-6
+        assert report.true_relres == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        assert report.true_relres > 1e-4
+        assert not report.converged
 
     def test_saddle_point_diagonal_scaling(self):
         grid = build_grid(4, 4)
