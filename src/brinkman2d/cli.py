@@ -79,16 +79,18 @@ def run_solve(config: RunConfig, quiet: bool = False) -> int:
     wall_ms = report.wall_time * 1e3 if config.timings else 0.0
     atomic_write_text(
         os.path.join(out, "report.csv"),
-        "anna,iterations,converged,relres,divergence_max,regime,wall_ms\n"
+        "anna,iterations,converged,relres,divergence_max,regime,wall_ms,true_relres\n"
         f"{anna:.5e},{report.iterations},{str(report.converged).lower()},"
-        f"{report.final_relres:.5e},{div_max:.5e},{classify_regime(anna).value},{wall_ms:.5e}\n",
+        f"{report.final_relres:.5e},{div_max:.5e},{classify_regime(anna).value},{wall_ms:.5e},"
+        f"{report.true_relres:.5e}\n",
     )
     write_config(config, os.path.join(out, "config_resolved.txt"))
 
     _say(
         quiet,
         f"solve: anna={anna:.5e} iterations={report.iterations} "
-        f"relres={report.final_relres:.5e} converged={report.converged}",
+        f"relres={report.final_relres:.5e} true_relres={report.true_relres:.5e} "
+        f"converged={report.converged}",
     )
     return 0 if report.converged else 1
 

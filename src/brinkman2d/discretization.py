@@ -11,7 +11,8 @@ gradient onto faces, D the cell divergence of face velocities, and Kinv
 a diagonal drag block from the normalized permeability.  Velocity faces
 on the domain boundary stay in the unknown vector and are pinned with
 identity rows carrying the Dirichlet data, which keeps the system size
-at 3*nx*ny + nx + ny.
+at 3*nx*ny + nx + ny.  One mask of these fixed rows (plus an optional
+pressure pin) turns the assembled block rows into identity rows.
 
 Tangential Dirichlet data on the walls is imposed by ghost reflection
 (ghost = 2*g_wall - interior); the matrix absorbs the interior part and
@@ -151,6 +152,18 @@ class MonolithicSystem:
     meta: dict = field(default_factory=dict)
 
 
+def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """Canonical CSR (duplicates summed, indices sorted) from lists of triplet arrays."""
+    if not rows:
+        return sp.csr_matrix(shape)
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    ).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
 def assemble_laplacian(grid: StaggeredGrid) -> sp.csr_matrix:
     """Five-point vector Laplacian on the u/v face lattices.
 
@@ -202,17 +215,7 @@ def assemble_laplacian(grid: StaggeredGrid) -> sp.csr_matrix:
         diag[~right] -= idx2
         add(r, r, diag)
 
-    n = grid.n_velocity
-    if rows:
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsr()
-    else:
-        mat = sp.csr_matrix((n, n))
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    return _csr(rows, cols, vals, (grid.n_velocity, grid.n_velocity))
 
 
 def laplacian_boundary_term(grid: StaggeredGrid, bc: BoundaryData) -> np.ndarray:
@@ -254,16 +257,7 @@ def assemble_gradient(grid: StaggeredGrid) -> sp.csr_matrix:
         rows += [r, r]
         cols += [grid.p_index(i, j) - grid.n_velocity, grid.p_index(i, j - 1) - grid.n_velocity]
         vals += [np.full(r.size, 1.0 / grid.dy), np.full(r.size, -1.0 / grid.dy)]
-    shape = (grid.n_velocity, grid.n_p)
-    if rows:
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-        ).tocsr()
-    else:
-        mat = sp.csr_matrix(shape)
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    return _csr(rows, cols, vals, (grid.n_velocity, grid.n_p))
 
 
 def assemble_divergence(grid: StaggeredGrid) -> sp.csr_matrix:
@@ -272,23 +266,19 @@ def assemble_divergence(grid: StaggeredGrid) -> sp.csr_matrix:
     i = np.tile(np.arange(nx), ny)
     j = np.repeat(np.arange(ny), nx)
     r = grid.p_index(i, j) - grid.n_velocity
-    rows = np.concatenate([r, r, r, r])
-    cols = np.concatenate([
+    cols = [
         grid.u_index(i + 1, j),
         grid.u_index(i, j),
         grid.v_index(i, j + 1),
         grid.v_index(i, j),
-    ])
-    vals = np.concatenate([
+    ]
+    vals = [
         np.full(r.size, 1.0 / grid.dx),
         np.full(r.size, -1.0 / grid.dx),
         np.full(r.size, 1.0 / grid.dy),
         np.full(r.size, -1.0 / grid.dy),
-    ])
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_p, grid.n_velocity)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    ]
+    return _csr([r, r, r, r], cols, vals, (grid.n_p, grid.n_velocity))
 
 
 def drag_coefficients(grid: StaggeredGrid, kstar: NormalizedPermeability) -> np.ndarray:
@@ -359,62 +349,37 @@ def assemble_monolithic(
     """Assemble the full saddle-point system for one value of anna.
 
     ``anna = 0`` is allowed and yields the pure-drag (Darcy) operator;
-    ``include_drag=False`` drops the drag block (Stokes reference).
+    ``include_drag=False`` drops the drag block (Stokes reference).  The
+    two together leave no momentum operator and raise ``ValueError``.
     With ``pin_pressure`` the first pressure row is replaced by the
     identity (p_0 = 0), removing the constant-pressure nullspace.
     """
     if anna < 0.0:
         raise ValueError(f"anna must be >= 0, got {anna}")
-    bc.validate_sizes(grid)
+    if anna == 0.0 and not include_drag:
+        raise ValueError("anna = 0 with include_drag=False leaves no momentum operator")
     if forcing is None:
         forcing = ForcingField.zero(grid)
     if forcing.f_u.size != grid.n_u or forcing.f_v.size != grid.n_v:
         raise ValueError("forcing field sized for a different grid")
 
-    nv, n = grid.n_velocity, grid.n_total
-    lap = assemble_laplacian(grid)
-    lap_bc = laplacian_boundary_term(grid, bc)
-    grad = assemble_gradient(grid)
-    div = assemble_divergence(grid)
-
-    momentum = (-anna) * lap
+    nv = grid.n_velocity
+    momentum = (-anna) * assemble_laplacian(grid)
     if include_drag:
         momentum = momentum + assemble_drag(grid, kstar)
+    blocks = sp.bmat([[momentum, assemble_gradient(grid)], [assemble_divergence(grid), None]])
 
-    mom = momentum.tocoo()
-    grd = grad.tocoo()
-    dvg = div.tocoo()
-    rows = np.concatenate([mom.row, grd.row, dvg.row + nv])
-    cols = np.concatenate([mom.col, grd.col + nv, dvg.col])
-    vals = np.concatenate([mom.data, grd.data, dvg.data])
+    # rows replaced by the identity: boundary-normal faces and the pin
+    fixed = np.zeros(grid.n_total, dtype=bool)
+    fixed[:nv] = boundary_velocity_mask(grid)
+    fixed[nv] = pin_pressure  # first pressure DOF: p_0 = 0
+    matrix = sp.diags((~fixed).astype(float)) @ blocks + sp.diags(fixed.astype(float))
+    matrix.sort_indices()  # the sparse product and sum do not promise sorted indices
 
-    bmask = np.zeros(n, dtype=bool)
-    bmask[:nv] = boundary_velocity_mask(grid)
-    keep = ~bmask[rows]
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-
-    brows = np.flatnonzero(bmask)
-    rows = np.concatenate([rows, brows])
-    cols = np.concatenate([cols, brows])
-    vals = np.concatenate([vals, np.ones(brows.size)])
-
-    rhs = np.zeros(n)
-    rhs[:nv] = np.concatenate([forcing.f_u, forcing.f_v]) + anna * lap_bc
     g = boundary_values(grid, bc)
-    rhs[brows] = g[brows]
-
-    if pin_pressure:
-        pin_row = nv  # first pressure DOF
-        keep = rows != pin_row
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        rows = np.append(rows, pin_row)
-        cols = np.append(cols, pin_row)
-        vals = np.append(vals, 1.0)
-        rhs[pin_row] = 0.0
-
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
+    source = np.concatenate([forcing.f_u, forcing.f_v]) + anna * laplacian_boundary_term(grid, bc)
+    rhs = np.zeros(grid.n_total)
+    rhs[:nv] = np.where(fixed[:nv], g, source)
 
     meta: dict = {"warnings": [], "include_drag": include_drag}
     flux = bc.net_flux(grid)

@@ -212,8 +212,8 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
             # row k of the column rotated by all earlier rotations is omega @ h
             a = float(omega[: k + 1] @ h)
             denom = float(np.hypot(a, h_next))
-            if denom == 0.0:
-                c, s = 1.0, 0.0
+            if denom == 0.0:  # swap rotation: the estimate stays |g[k]|
+                c, s = 0.0, 1.0
             else:
                 c, s = a / denom, h_next / denom
             cs[k], sn[k] = c, s

@@ -177,6 +177,26 @@ class TestSolveCommand:
         main(["solve", cfg])
         assert not list(out.glob(".tmp-*"))
 
+    def test_true_residual_reported_next_to_preconditioned_one(self, tmp_path, capsys):
+        # Jacobi on the layered 8x8 system at anna 1e-5: the scaled residual
+        # meets tol while the true one does not
+        out = tmp_path / "out"
+        cfg = write_cfg(
+            tmp_path,
+            "grid.nx = 8\ngrid.ny = 8\nanna = 1e-5\nfield.pattern = layered\n"
+            "field.contrast_x = 1e5\nfield.contrast_y = 1e5\nsolver.tol = 1e-6\n"
+            f"solver.preconditioner = jacobi\noutput.timings = false\noutput.dir = {out}\n",
+        )
+        assert main(["solve", cfg]) == 1
+        header, row = (out / "report.csv").read_text().splitlines()
+        assert header == "anna,iterations,converged,relres,divergence_max,regime,wall_ms,true_relres"
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["converged"] == "false"
+        assert float(fields["relres"]) <= 1e-6
+        assert float(fields["true_relres"]) > 1e-4
+        stdout = capsys.readouterr().out
+        assert f"relres={fields['relres']} true_relres={fields['true_relres']} " in stdout
+
     def test_solve_driven_by_physical_scales(self, tmp_path):
         # mu_eff = mu and k_max/l_ref^2 = 1e-3 puts the run deep in the
         # Darcy regime with anna = 1e-3

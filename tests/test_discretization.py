@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from brinkman2d import (
     BoundaryData,
@@ -14,11 +15,13 @@ from brinkman2d import (
     build_grid,
     direct_solve,
     export_matrix,
+    generate_contrast_field,
     laplacian_boundary_term,
     load_matrix,
     normalize,
     uniform_kstar,
 )
+from brinkman2d.discretization import COMPATIBILITY_TOL, boundary_values
 from brinkman2d.grid import boundary_velocity_mask
 from brinkman2d.media import PermeabilityField
 
@@ -218,6 +221,13 @@ class TestMonolithic:
             ma = assemble_monolithic(grid, field, anna, bc).matrix.toarray()
             assert np.array_equal(ma, m0 + anna * (m1 - m0))
 
+    def test_zero_anna_without_drag_rejected(self):
+        # no viscous and no drag term: the momentum block would be empty
+        grid = build_grid(3, 3)
+        with pytest.raises(ValueError, match="anna = 0 with include_drag=False"):
+            assemble_monolithic(grid, uniform_kstar(grid), 0.0,
+                                BoundaryData.uniform(grid, 1.0, 0.0), include_drag=False)
+
     def test_negative_anna_rejected(self):
         grid = build_grid(2, 2)
         with pytest.raises(ValueError):
@@ -311,6 +321,117 @@ class TestMonolithic:
         expected = np.zeros_like(diff)
         expected[interior, interior] = 1.0
         assert np.array_equal(diff, expected)
+
+
+def coo_reference_assembly(grid, kstar, anna, bc, forcing=None, pin_pressure=False,
+                           include_drag=True):
+    """Triplet-level assembly of the monolithic system: the blocks' COO
+    triplets concatenated, boundary rows filtered out and replaced by
+    identity rows, then the pin row.  Returns ``(matrix, rhs, meta)``."""
+    nv, n = grid.n_velocity, grid.n_total
+    if forcing is None:
+        forcing = ForcingField.zero(grid)
+    lap = assemble_laplacian(grid)
+    lap_bc = laplacian_boundary_term(grid, bc)
+    grad = assemble_gradient(grid)
+    div = assemble_divergence(grid)
+
+    momentum = (-anna) * lap
+    if include_drag:
+        momentum = momentum + assemble_drag(grid, kstar)
+
+    mom = momentum.tocoo()
+    grd = grad.tocoo()
+    dvg = div.tocoo()
+    rows = np.concatenate([mom.row, grd.row, dvg.row + nv])
+    cols = np.concatenate([mom.col, grd.col + nv, dvg.col])
+    vals = np.concatenate([mom.data, grd.data, dvg.data])
+
+    bmask = np.zeros(n, dtype=bool)
+    bmask[:nv] = boundary_velocity_mask(grid)
+    keep = ~bmask[rows]
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+
+    brows = np.flatnonzero(bmask)
+    rows = np.concatenate([rows, brows])
+    cols = np.concatenate([cols, brows])
+    vals = np.concatenate([vals, np.ones(brows.size)])
+
+    rhs = np.zeros(n)
+    rhs[:nv] = np.concatenate([forcing.f_u, forcing.f_v]) + anna * lap_bc
+    g = boundary_values(grid, bc)
+    rhs[brows] = g[brows]
+
+    if pin_pressure:
+        pin_row = nv  # first pressure DOF
+        keep = rows != pin_row
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        rows = np.append(rows, pin_row)
+        cols = np.append(cols, pin_row)
+        vals = np.append(vals, 1.0)
+        rhs[pin_row] = 0.0
+
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    matrix.sum_duplicates()
+    matrix.sort_indices()
+
+    meta: dict = {"warnings": [], "include_drag": include_drag}
+    flux = bc.net_flux(grid)
+    scale = max(1.0, float(np.abs(g).max()))
+    if not pin_pressure and abs(flux) > COMPATIBILITY_TOL * scale:
+        meta["warnings"].append(
+            f"boundary data has net flux {flux:.3e}; the unpinned system is "
+            "singular and solvable only for compatible right-hand sides"
+        )
+    return matrix, rhs, meta
+
+
+REFERENCE_GRIDS = ((1, 1), (1, 3), (3, 1), (2, 2), (4, 3), (8, 8), (13, 7), (20, 20))
+REFERENCE_ANNAS = (0.0, 1e-5, 1e-3, 1.0, 1e3, 1e5)
+
+
+def reference_fields(grid):
+    """Uniform K* plus every generated pattern the grid can realise."""
+    fields = [uniform_kstar(grid)]
+    for pattern in ("layered", "lognormal", "checkerboard"):
+        try:
+            fields.append(normalize(generate_contrast_field(grid, 1e5, 1e3, pattern, 3)))
+        except ValueError:  # too few cells for the contrast in one direction
+            pass
+    return fields
+
+
+def reference_data(grid):
+    """Boundary data and forcing: uniform, lid-driven, and uniform with forcing."""
+    rng = np.random.default_rng(grid.n_total)
+    forcing = ForcingField(rng.standard_normal(grid.n_u), rng.standard_normal(grid.n_v))
+    uniform = BoundaryData.uniform(grid, 1.0, -0.5)
+    return (uniform, None), (BoundaryData.lid_driven(grid), None), (uniform, forcing)
+
+
+@pytest.mark.parametrize("nx, ny", REFERENCE_GRIDS)
+def test_block_assembly_matches_coo_reference_bit_for_bit(nx, ny):
+    grid = build_grid(nx, ny)
+    data = reference_data(grid)
+    cases = 0
+    for kstar in reference_fields(grid):
+        for anna in REFERENCE_ANNAS:
+            for include_drag in (True, False):
+                if anna == 0.0 and not include_drag:
+                    continue  # rejected, see test_zero_anna_without_drag_rejected
+                for pin in (False, True):
+                    bc, forcing = data[cases % len(data)]  # each data set in turn
+                    system = assemble_monolithic(grid, kstar, anna, bc, forcing=forcing,
+                                                 pin_pressure=pin, include_drag=include_drag)
+                    matrix, rhs, meta = coo_reference_assembly(
+                        grid, kstar, anna, bc, forcing, pin, include_drag)
+                    got = system.matrix
+                    for name in ("indptr", "indices", "data"):
+                        assert getattr(got, name).tobytes() == getattr(matrix, name).tobytes(), name
+                    assert system.rhs.tobytes() == rhs.tobytes()
+                    assert repr(system.meta) == repr(meta)
+                    cases += 1
+    assert cases >= 22
 
 
 def test_matrix_export_round_trip(tmp_path):

@@ -215,8 +215,9 @@ class TestGmres:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("matrix", [np.zeros((1, 1)), np.array([[0.0, 1.0], [0.0, 0.0]])])
     def test_stalled_iteration_returns_zero(self, matrix):
-        # A q0 = 0: the first Hessenberg column is zero, its rotation is the
-        # identity, and the least-squares fallback gives the update y = 0
+        # A q0 = 0: the first Hessenberg column is zero, its rotation is a
+        # swap that keeps the residual estimate, and the least-squares
+        # fallback gives the update y = 0
         b = np.zeros(matrix.shape[0])
         b[0] = 1.0
         x, report = gmres_solve(matrix, b)
@@ -224,6 +225,8 @@ class TestGmres:
         assert report.iterations == 1
         assert not report.converged
         assert report.final_relres == 1.0
+        assert report.true_relres == 1.0
+        assert list(report.residual_history) == [1.0, 1.0]
 
     def test_deterministic_repeat(self):
         A, b = shifted_random(80, 7)
