@@ -6,6 +6,11 @@ control number anna = viscosity_ratio * Da, mirroring a fixed-contrast
 experiment.  Condition numbers are computed on the pressure-pinned
 matrix by default; the unpinned matrix has an exact constant-pressure
 nullspace and its kappa is only meaningful with that mode excluded.
+
+Conditioning and spectra take matrices of at most ``DENSE_DECOMP_LIMIT``
+unknowns.  A sparse matrix gets kappa from one sparse LU factor and two
+ARPACK Lanczos runs; a dense array gets the dense SVD, which stays the
+oracle.  Spectra are always dense.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, checked_square_matrix
 from .discretization import (
     BoundaryData,
     ForcingField,
@@ -29,7 +35,7 @@ from .media import NormalizedPermeability, PermeabilityField, normalize, uniform
 from .scaling import Regime, check_da_values, classify_regime
 from .solvers import SolverConfig, direct_solve, gmres_solve
 
-#: Largest matrix decomposed densely for kappa / spectra.
+#: Largest matrix accepted for kappa / spectra.
 DENSE_DECOMP_LIMIT = 3000
 #: |eigenvalue| at or below this counts as the numerical nullspace.
 NULLSPACE_TOL = 1e-10
@@ -38,7 +44,7 @@ SINGULAR_RTOL = 1e-14
 
 
 class UnsupportedSizeError(ValueError):
-    """Matrix too large for the dense decomposition path."""
+    """Matrix larger than ``DENSE_DECOMP_LIMIT`` for kappa or spectra."""
 
 
 @dataclass(frozen=True)
@@ -90,27 +96,75 @@ class LimitCheckReport:
     stokes_rel_diff: float
 
 
-def _dense(matrix, limit: int = DENSE_DECOMP_LIMIT) -> np.ndarray:
-    if sp.issparse(matrix):
-        n, m = matrix.shape
-    else:
-        matrix = np.asarray(matrix, dtype=float)
-        n, m = matrix.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got shape {(n, m)}")
-    if n > limit:
-        raise UnsupportedSizeError(f"dense decomposition limited to n <= {limit}, got {n}")
-    return matrix.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=float)
+def _checked(matrix):
+    """The validated square matrix (CSR or float array) of at most
+    ``DENSE_DECOMP_LIMIT`` rows, free of NaN and inf."""
+    A = checked_square_matrix(matrix)
+    if A.shape[0] > DENSE_DECOMP_LIMIT:
+        raise UnsupportedSizeError(
+            f"kappa and spectra limited to n <= {DENSE_DECOMP_LIMIT}, got {A.shape[0]}")
+    return A
 
 
-def condition_number(matrix) -> ConditionReport:
-    """kappa = sigma_max / sigma_min from a dense SVD."""
-    dense = _dense(matrix)
-    sigma = np.linalg.svd(dense, compute_uv=False)
-    s_max, s_min = float(sigma[0]), float(sigma[-1])
+def _sigma_max(n: int, matvec, rmatvec) -> float:
+    """Largest singular value of the n x n operator ``x -> matvec(x)``
+    (adjoint ``rmatvec``): ARPACK Lanczos on the Gram operator, started
+    from the ones vector, as ``svds(k=1)`` runs it, but with the generator
+    for the restart vectors ARPACK draws after a breakdown seeded, so a
+    repeated call returns the same bits."""
+    gram = spla.LinearOperator((n, n), matvec=lambda x: rmatvec(matvec(x)), dtype=float)
+    # 1e-14 relative on sigma is 1e-28 on its square
+    _, vectors = spla.eigsh(gram, k=1, tol=1e-28, v0=np.ones(n), rng=0)
+    v = vectors[:, 0]
+    return float(np.linalg.norm(matvec(v)) / np.linalg.norm(v))
+
+
+def _singular_extremes(A) -> tuple[float, float]:
+    """``(sigma_max, sigma_min)`` of a sparse matrix, with
+    ``sigma_min = 1 / sigma_max(A^-1)`` and ``A^-1`` applied by one sparse
+    LU factor (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 15).  Raises ``RuntimeError`` when the factor is exactly singular
+    or ARPACK fails."""
+    n = A.shape[0]
+    lu = spla.splu(A.tocsc())
+    s_max = _sigma_max(n, lambda x: A @ x, lambda y: A.T @ y)
+    s_inv = _sigma_max(n, lu.solve, lambda y: lu.solve(y, trans="T"))
+    return s_max, 1.0 / s_inv
+
+
+def _report(s_max: float, s_min: float) -> ConditionReport:
     singular = s_min < SINGULAR_RTOL * s_max
     kappa = math.inf if s_min == 0.0 else s_max / s_min
     return ConditionReport(kappa, singular)
+
+
+def condition_number(matrix) -> ConditionReport:
+    """kappa = sigma_max / sigma_min of a square matrix of at most
+    ``DENSE_DECOMP_LIMIT`` rows.
+
+    A dense array gets a dense SVD, the oracle.  A sparse matrix gets two
+    ARPACK runs: sigma_max of ``A``, and sigma_min as
+    ``1 / sigma_max(A^-1)`` through one sparse LU factor.  On the layered
+    pressure-pinned sweep matrices (grids 4 to 20, contrast 1e2 and 1e5,
+    Da 1e-5..1e5) the two agree to 1e-8 relative and give the same flag;
+    on numerically singular ones, where the dense sigma_min is at SVD
+    resolution, the gap grows with n to 2e-7 on the canonical 20x20
+    sweep, whose 6-digit kappa values print unchanged, and 5e-6 at
+    contrast 1e2.  A sparse matrix whose LU factor is exactly singular,
+    or on which ARPACK fails or does not converge, gets the dense SVD, as
+    does a 1 x 1 one.  ``numerically_singular`` means
+    ``sigma_min < SINGULAR_RTOL * sigma_max``.
+    """
+    A = _checked(matrix)
+    if sp.issparse(A):
+        if A.shape[0] > 1:  # ARPACK needs k = 1 < n
+            try:
+                return _report(*_singular_extremes(A))
+            except RuntimeError:  # also ArpackNoConvergence
+                pass
+        A = A.toarray()
+    sigma = np.linalg.svd(A, compute_uv=False)
+    return _report(float(sigma[0]), float(sigma[-1]))
 
 
 def eigen_spectrum(matrix, exclude_nullspace: bool = False) -> SpectrumReport:
@@ -121,8 +175,8 @@ def eigen_spectrum(matrix, exclude_nullspace: bool = False) -> SpectrumReport:
     ``min_abs_nonzero``; otherwise eigenvalues below ``NULLSPACE_TOL``
     in magnitude are excluded.
     """
-    dense = _dense(matrix)
-    eigenvalues = np.linalg.eigvals(dense)
+    A = _checked(matrix)
+    eigenvalues = np.linalg.eigvals(A.toarray() if sp.issparse(A) else A)
     mags = np.sort(np.abs(eigenvalues))
     min_abs = float(mags[0])
     if exclude_nullspace:

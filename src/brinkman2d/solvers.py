@@ -23,6 +23,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ._util import checked_square_matrix
+
 
 class SingularMatrixError(RuntimeError):
     """Direct factorization hit an exactly singular pivot."""
@@ -96,20 +98,10 @@ def apply_jacobi(matrix) -> np.ndarray:
 def _linear_system(matrix, rhs):
     """Validated ``(A, b)``: a square CSR or dense matrix and a matching
     rhs, both free of NaN and inf."""
-    if sp.issparse(matrix):
-        A = matrix.tocsr()
-        values = A.data
-    else:
-        A = values = np.asarray(matrix, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("matrix must be two-dimensional")
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    A = checked_square_matrix(matrix)
     b = np.asarray(rhs, dtype=float).ravel()
     if b.size != A.shape[0]:
         raise ValueError(f"rhs has length {b.size}, matrix is {A.shape[0]}x{A.shape[0]}")
-    if not np.isfinite(values).all():
-        raise ValueError("matrix has NaN or inf entries")
     if not np.isfinite(b).all():
         raise ValueError("rhs has NaN or inf entries")
     return A, b

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from brinkman2d import (
     BoundaryData,
@@ -60,6 +61,64 @@ class TestConditionNumber:
             condition_number(sp.eye(3001, format="csr"))
         with pytest.raises(ValueError):
             condition_number(np.ones((3, 4)))
+
+
+def pinned_matrix(n, contrast, anna):
+    grid = build_grid(n, n)
+    field = generate_contrast_field(grid, contrast, contrast, "layered", 0)
+    return assemble_monolithic(
+        grid, normalize(field), anna, BoundaryData.uniform(grid, 1.0, 0.0), pin_pressure=True
+    ).matrix
+
+
+class TestSparseConditionNumber:
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("contrast", [1e2, 1e5])
+    def test_agrees_with_dense_svd(self, n, contrast):
+        for anna in np.logspace(-5, 5, 11):
+            matrix = pinned_matrix(n, contrast, anna)
+            sparse, dense = condition_number(matrix), condition_number(matrix.toarray())
+            assert sparse.kappa == pytest.approx(dense.kappa, rel=1e-6)
+            assert sparse.numerically_singular == dense.numerically_singular
+
+    def test_sparse_path_takes_no_dense_svd(self, monkeypatch):
+        matrix = pinned_matrix(8, 1e5, 1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense SVD called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert math.isfinite(condition_number(matrix).kappa)
+
+    @pytest.mark.parametrize("matrix", [pinned_matrix(8, 1e5, 1e5), sp.eye(7, format="csr")])
+    def test_repeated_calls_bit_identical(self, matrix):
+        # the identity breaks the Lanczos run down at its first step, where
+        # ARPACK draws a random restart vector
+        assert len({condition_number(matrix).kappa for _ in range(10)}) == 1
+
+    @pytest.mark.parametrize("diagonal", [[1.0, 0.0, 1.0], [2.0]])
+    def test_exactly_singular_or_scalar_gets_dense_report(self, diagonal):
+        # splu refuses the exactly singular factor; ARPACK needs n > 1
+        matrix = np.diag(diagonal)
+        assert condition_number(sp.csr_matrix(matrix)) == condition_number(matrix)
+
+    def test_arpack_no_convergence_gets_dense_report(self, monkeypatch):
+        matrix = pinned_matrix(4, 1e5, 1.0)
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        assert condition_number(matrix) == condition_number(matrix.toarray())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        matrix = np.eye(4)
+        matrix[1, 2] = bad
+        for given in (matrix, sp.csr_matrix(matrix)):
+            for function in (condition_number, eigen_spectrum):
+                with pytest.raises(ValueError, match="matrix has NaN or inf entries"):
+                    function(given)
 
 
 class TestSpectrum:
