@@ -6,10 +6,11 @@ Givens-rotation least squares.  Each step keeps only the last row of
 the accumulated rotation factor, which gives the new rotation from one
 dot product with the raw Hessenberg column; the cycle's rotations are
 applied to the Hessenberg once, row by row, before the triangular
-solve.  The reference path is a sparse LU factorization (SuperLU) used
-as the oracle in verification runs.  Full GMRES (restart = maxit) is
-the default, matching the replication setting of the regime study;
-restarting is exposed for experimentation.
+solve.  The basis and the Hessenberg are allocated once per solve and
+reused by every restart cycle.  The reference path is a sparse LU
+factorization (SuperLU) used as the oracle in verification runs.  Full
+GMRES (restart = maxit) is the default, matching the replication
+setting of the regime study; restarting is exposed for experimentation.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dtrtrs
 
 from ._util import checked_square_matrix
 
@@ -73,6 +74,8 @@ class SolveReport:
     is ||b - M x||_2 / ||b||_2 of the returned iterate; without a
     preconditioner it is final_relres.  converged requires both to meet
     tol, so a preconditioned estimate cannot hide a large true residual.
+    workspace_bytes is the size of the Krylov basis plus the Hessenberg
+    matrix the solve allocated (0 for a zero rhs).
     """
 
     iterations: int
@@ -81,6 +84,7 @@ class SolveReport:
     true_relres: float
     residual_history: np.ndarray = field(repr=False)
     wall_time: float = 0.0
+    workspace_bytes: int = 0
 
 
 def apply_jacobi(matrix) -> np.ndarray:
@@ -112,8 +116,8 @@ def _physical_memory_bytes() -> int:
 
 
 def _check_basis_fits(n: int, m: int) -> None:
-    """Refuse a GMRES(m) cycle whose basis ``Q`` and Hessenberg ``H`` exceed
-    physical memory, before either is allocated."""
+    """Refuse a GMRES(m) workspace whose basis ``Q`` and Hessenberg ``H``
+    exceed physical memory, before either is allocated."""
     need = (m + 1) * n * 8 + (m + 1) * m * 8
     available = _physical_memory_bytes()
     if need > available:
@@ -132,9 +136,10 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     the current subspace) terminates the iteration with the current
     iterate; hitting maxit returns the best iterate with
     ``converged=False``.  The result is deterministic for fixed inputs.
-    Raises :class:`SettingError` on ``restart`` when one cycle's Krylov
-    basis cannot fit in physical memory (the default ``maxit = n`` asks
-    for an ``(n+1) x n`` basis).
+    Raises :class:`SettingError` on ``restart`` when the Krylov basis and
+    Hessenberg cannot fit in physical memory (the default ``maxit = n``
+    asks for an ``(n+1) x n`` basis).  ``SolveReport.workspace_bytes``
+    gives their size.
     """
     cfg = config or SolverConfig()
     A, b = _linear_system(matrix, rhs)
@@ -142,8 +147,8 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
 
     maxit = cfg.maxit if cfg.maxit is not None else n
     restart = cfg.restart if cfg.restart is not None else maxit
-    restart = min(restart, maxit)
-    _check_basis_fits(n, min(restart, n))
+    m_max = min(restart, maxit, n)
+    _check_basis_fits(n, m_max)
 
     if cfg.preconditioner == "jacobi":
         scale = apply_jacobi(A)
@@ -165,6 +170,17 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
                               residual_history=np.array([0.0]),
                               wall_time=time.perf_counter() - t0)
 
+    # One workspace per solve: every cycle, a shorter last one included,
+    # works in the leading rows and columns of Q and H.  H is not re-zeroed
+    # between cycles: the rotation pass and the triangular solve read only
+    # entries (i, j) with i <= j + 1 of the cycle's first k_used columns,
+    # and the cycle writes all of them before they are read.  Entries below
+    # the subdiagonal are never written, so their zero pages are never
+    # faulted in.
+    Q = np.empty((m_max + 1, n))
+    H = np.zeros((m_max + 1, m_max))
+    cs, sn = np.empty(m_max), np.empty(m_max)
+    omega = np.empty(m_max + 1)  # last row of the accumulated rotation factor
     x = np.zeros(n)
     history = [1.0]
     total_iters = 0
@@ -178,14 +194,10 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
         if final_relres <= cfg.tol or total_iters >= maxit or breakdown or r_norm == 0.0:
             break
 
-        m = min(restart, maxit - total_iters, n)
-        Q = np.empty((m + 1, n))
-        H = np.zeros((m + 1, m))
-        cs, sn = np.empty(m), np.empty(m)
-        omega = np.zeros(m + 1)  # last row of the accumulated rotation factor
+        m = min(m_max, maxit - total_iters)
         omega[0] = 1.0
         g = [r_norm]
-        Q[0] = r / r_norm
+        np.divide(r, r_norm, out=Q[0])
 
         k_used = 0
         for k in range(m):
@@ -224,14 +236,14 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
                 break
             if est <= cfg.tol or total_iters >= maxit:
                 break
-            Q[k + 1] = w / h_next
+            np.divide(w, h_next, out=Q[k + 1])
 
         R = H[: k_used + 1, :k_used]
         for i in range(k_used):  # the cycle's rotations, once, row by row
             c, s = cs[i], sn[i]
             R[i, i:], R[i + 1, i:] = (c * R[i, i:] + s * R[i + 1, i:],
                                       -s * R[i, i:] + c * R[i + 1, i:])
-        y = _solve_upper(R[:k_used], np.array(g[:k_used]))
+        y = _solve_upper(H[:k_used], np.array(g[:k_used]))
         x = x + Q[:k_used].T @ y
 
         if breakdown or total_iters >= maxit:
@@ -250,18 +262,27 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
         true_relres=true_relres,
         residual_history=np.asarray(history),
         wall_time=time.perf_counter() - t0,
+        workspace_bytes=Q.nbytes + H.nbytes,
     )
     return x, report
 
 
-def _solve_upper(R: np.ndarray, g: np.ndarray) -> np.ndarray:
-    if R.size == 0:
-        return np.zeros(0)
+def _solve_upper(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve ``R y = g`` for the upper triangle ``R`` of ``rows[:, :k]``,
+    ``k = g.size``, where ``rows`` is C-contiguous.
+
+    ``rows.T`` is Fortran-ordered with ``lda = rows.shape[1]`` and holds
+    ``R^T`` in its lower triangle, so LAPACK ``dtrtrs`` (lower, transposed:
+    what ``solve_triangular`` calls on a row-major triangle) reads it in
+    place, without the copy ``solve_triangular`` makes of a strided view.
+    """
+    R = rows[:, : g.size]
     if np.any(np.diag(R) == 0.0):
         # stalled iteration on a singular operator: minimum-norm fallback;
         # triu drops the rounding left below the diagonal by the rotations
         return np.linalg.lstsq(np.triu(R), g, rcond=None)[0]
-    return scipy.linalg.solve_triangular(R, g, lower=False)
+    y, _ = dtrtrs(rows.T, g, lower=1, trans=1)
+    return y
 
 
 def direct_solve(matrix, rhs) -> np.ndarray:

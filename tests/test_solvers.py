@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -116,6 +118,108 @@ def cgs2_givens_reference(A, b, tol, maxit, restart):
         x = x + Q[: k + 1].T @ y
 
 
+def per_cycle_gmres_reference(A, b, cfg):
+    """The loop of ``gmres_solve`` before it kept one workspace per solve:
+    a fresh ``Q``/``H`` every restart cycle and ``solve_triangular`` on the
+    strided triangle.  Returns ``(x, history)``."""
+    n = b.size
+    maxit = cfg.maxit if cfg.maxit is not None else n
+    restart = min(cfg.restart if cfg.restart is not None else maxit, maxit)
+    if cfg.preconditioner == "jacobi":
+        scale = apply_jacobi(A)
+        b_eff = scale * b
+
+        def op(v):
+            return scale * (A @ v)
+    else:
+        b_eff = b
+
+        def op(v):
+            return A @ v
+
+    b_norm = float(np.linalg.norm(b_eff))
+    x = np.zeros(n)
+    history = [1.0]
+    total_iters = 0
+    breakdown = False
+    while True:
+        r = b_eff - op(x)
+        r_norm = float(np.linalg.norm(r))
+        if r_norm / b_norm <= cfg.tol or total_iters >= maxit or breakdown or r_norm == 0.0:
+            return x, np.asarray(history)
+        m = min(restart, maxit - total_iters, n)
+        Q = np.empty((m + 1, n))
+        H = np.zeros((m + 1, m))
+        cs, sn = np.empty(m), np.empty(m)
+        omega = np.zeros(m + 1)
+        omega[0] = 1.0
+        g = [r_norm]
+        Q[0] = r / r_norm
+        k_used = 0
+        for k in range(m):
+            w = op(Q[k])
+            w_scale = float(np.linalg.norm(w))
+            Qk = Q[: k + 1]
+            h = Qk @ w
+            w -= h @ Qk
+            h2 = Qk @ w
+            w -= h2 @ Qk
+            h += h2
+            h_next = float(np.linalg.norm(w))
+            H[: k + 1, k] = h
+            H[k + 1, k] = h_next
+            a = float(omega[: k + 1] @ h)
+            denom = float(np.hypot(a, h_next))
+            if denom == 0.0:
+                c, s = 0.0, 1.0
+            else:
+                c, s = a / denom, h_next / denom
+            cs[k], sn[k] = c, s
+            omega[: k + 1] *= -s
+            omega[k + 1] = c
+            g.append(-s * g[k])
+            g[k] = c * g[k]
+            total_iters += 1
+            k_used = k + 1
+            est = abs(g[k + 1]) / b_norm
+            history.append(est)
+            if h_next <= 1e-14 * max(w_scale, 1e-300):
+                breakdown = True
+                break
+            if est <= cfg.tol or total_iters >= maxit:
+                break
+            Q[k + 1] = w / h_next
+        R = H[: k_used + 1, :k_used]
+        for i in range(k_used):
+            c, s = cs[i], sn[i]
+            R[i, i:], R[i + 1, i:] = (c * R[i, i:] + s * R[i + 1, i:],
+                                      -s * R[i, i:] + c * R[i + 1, i:])
+        y = scipy.linalg.solve_triangular(R[:k_used], np.array(g[:k_used]), lower=False)
+        x = x + Q[:k_used].T @ y
+        if breakdown or total_iters >= maxit:
+            return x, np.asarray(history)
+
+
+def record_2d_allocations(monkeypatch, fill=None):
+    """Patch ``np.empty``/``np.zeros`` to record the shape of every 2-D array
+    they allocate and, with ``fill``, to overwrite it; returns the list."""
+    shapes = []
+
+    def recording(allocate):
+        def allocate_2d(shape, *args, **kwargs):
+            array = allocate(shape, *args, **kwargs)
+            if array.ndim == 2:
+                shapes.append(array.shape)
+                if fill is not None:
+                    array.fill(fill)
+            return array
+        return allocate_2d
+
+    monkeypatch.setattr(np, "empty", recording(np.empty))
+    monkeypatch.setattr(np, "zeros", recording(np.zeros))
+    return shapes
+
+
 def layered_system(nx, anna):
     """Unpinned monolithic system on an nx x nx layered field, contrast 1e5."""
     grid = build_grid(nx, nx)
@@ -212,6 +316,58 @@ class TestGmres:
         np.testing.assert_allclose(report.residual_history, history_ref, rtol=history_rtol, atol=0)
         np.testing.assert_allclose(x, x_ref, rtol=0, atol=x_rtol * np.abs(x_ref).max())
 
+    @pytest.mark.parametrize("system, cfg, iterations", [
+        # 300 = 42 * 7 + 6: the last cycle is one step short
+        (lambda: layered_system(8, 1e-3), SolverConfig(tol=1e-6, maxit=300, restart=7), 300),
+        (lambda: layered_system(8, 1e-3),
+         SolverConfig(tol=1e-6, maxit=200, restart=20, preconditioner="jacobi"), 200),
+        # b - A b / 2 = (-1/2, 0) spans an invariant subspace of A; tol is out
+        # of reach, so only the breakdown in the second cycle stops the solve
+        (lambda: (np.array([[1.0, 1.0], [0.0, 2.0]]), np.array([-0.5, 0.5])),
+         SolverConfig(tol=1e-20, maxit=50, restart=1), 2),
+        (lambda: layered_system(8, 1e-3), SolverConfig(tol=1e-6, maxit=208), 176),
+    ], ids=["short-last-cycle", "jacobi", "later-breakdown", "full"])
+    def test_one_workspace_matches_per_cycle_reference(self, system, cfg, iterations,
+                                                        monkeypatch):
+        # the reused Q and H give the same bits as a fresh pair per cycle;
+        # both are filled with NaN when allocated, so an entry the current
+        # cycle has not written (H is never re-zeroed) would show as NaN
+        A, b = system()
+        x_ref, history_ref = per_cycle_gmres_reference(A, b, cfg)
+        shapes = record_2d_allocations(monkeypatch, fill=np.nan)
+        x, report = gmres_solve(A, b, cfg)
+        assert report.iterations == iterations
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(report.residual_history, history_ref)
+        m = min(cfg.restart or cfg.maxit, cfg.maxit, b.size)
+        assert shapes == [(m + 1, b.size), (m + 1, m)]
+
+    def test_restarted_solve_allocates_one_workspace(self, monkeypatch):
+        # GMRES(50) stagnates here and runs six cycles to maxit; a basis
+        # allocated per cycle would be held twice while the next is made
+        A, b = layered_system(8, 1e-3)
+        n, m = b.size, 50
+        cfg = SolverConfig(tol=1e-6, maxit=300, restart=m)
+        shapes = record_2d_allocations(monkeypatch)
+        tracemalloc.start()
+        try:
+            _, report = gmres_solve(A, b, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 300
+        assert shapes == [(m + 1, n), (m + 1, m)]
+        assert report.workspace_bytes == ((m + 1) * n + (m + 1) * m) * 8
+        assert peak < 1.5 * report.workspace_bytes
+
+    def test_workspace_bytes_on_canonical_size(self):
+        # full GMRES on the 20x20 grid: a 1241 x 1240 basis and Hessenberg
+        A, b = layered_system(20, 1e5)
+        _, report = gmres_solve(A, b, SolverConfig(tol=1e-6))
+        assert b.size == 1240
+        assert report.converged
+        assert report.workspace_bytes == (1241 * 1240 + 1241 * 1240) * 8
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("matrix", [np.zeros((1, 1)), np.array([[0.0, 1.0], [0.0, 0.0]])])
     def test_stalled_iteration_returns_zero(self, matrix):
@@ -242,6 +398,7 @@ class TestGmres:
         assert report.converged
         assert report.final_relres == 0.0
         assert report.iterations == 0
+        assert report.workspace_bytes == 0
 
     def test_maxit_exceeded_returns_best_iterate(self):
         A, b = shifted_random(50, 3)
