@@ -58,7 +58,6 @@ from .solvers import (
     SingularMatrixError,
     SolveReport,
     SolverConfig,
-    apply_jacobi,
     direct_solve,
     gmres_solve,
 )

@@ -127,7 +127,8 @@ def _singular_extremes(A) -> tuple[float, float]:
     or ARPACK fails."""
     n = A.shape[0]
     lu = spla.splu(A.tocsc())
-    s_max = _sigma_max(n, lambda x: A @ x, lambda y: A.T @ y)
+    AT = A.T  # bound once: every A.T builds a new transpose object
+    s_max = _sigma_max(n, lambda x: A @ x, lambda y: AT @ y)
     s_inv = _sigma_max(n, lu.solve, lambda y: lu.solve(y, trans="T"))
     return s_max, 1.0 / s_inv
 
@@ -297,7 +298,6 @@ def sweep_darcy(
         "tol": config.tol,
         "maxit": config.maxit,
         "restart": config.restart,
-        "preconditioner": config.preconditioner,
         "pin_pressure": pin_pressure,
         "kappa_convention": "pinned",
     }

@@ -35,11 +35,21 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
+def _parse_number(value: str) -> float:
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
 def _parse_da(spec: str) -> tuple[float, ...]:
     if spec.startswith("logspace:"):
         start, end, count = spec[len("logspace:"):].split(",")
-        return tuple(float(v) for v in np.logspace(float(start), float(end), int(count)))
-    return tuple(float(v) for v in spec.split(","))
+        with np.errstate(over="ignore"):  # 10**400 becomes inf, rejected below
+            da = np.logspace(_parse_number(start), _parse_number(end), int(count))
+    else:
+        da = spec.split(",")
+    return tuple(_parse_number(v) for v in da)
 
 
 _SCALE_KEYS = ("scales.l_ref", "scales.u_ref", "scales.mu", "scales.mu_eff", "scales.k_max")
@@ -48,19 +58,18 @@ _SCALE_KEYS = ("scales.l_ref", "scales.u_ref", "scales.mu", "scales.mu_eff", "sc
 _KEYS = {
     "grid.nx": ("nx", int),
     "grid.ny": ("ny", int),
-    "anna": ("anna", float),
-    **{key: (key, float) for key in _SCALE_KEYS},
+    "anna": ("anna", _parse_number),
+    **{key: (key, _parse_number) for key in _SCALE_KEYS},
     "field.pattern": ("field_pattern", str),
-    "field.contrast_x": ("contrast_x", float),
-    "field.contrast_y": ("contrast_y", float),
+    "field.contrast_x": ("contrast_x", _parse_number),
+    "field.contrast_y": ("contrast_y", _parse_number),
     "field.seed": ("seed", int),
     "field.path": ("field_path", str),
-    "bc.gx": ("gx", float),
-    "bc.gy": ("gy", float),
-    "solver.tol": ("tol", float),
+    "bc.gx": ("gx", _parse_number),
+    "bc.gy": ("gy", _parse_number),
+    "solver.tol": ("tol", _parse_number),
     "solver.maxit": ("maxit", int),
     "solver.restart": ("restart", int),
-    "solver.preconditioner": ("preconditioner", str),
     "solver.pin_pressure": ("pin_pressure", _parse_bool),
     "sweep.da": ("da_values", _parse_da),
     "output.dir": ("out_dir", str),
@@ -69,9 +78,9 @@ _KEYS = {
 #: What each value parser accepts, for error messages.
 _EXPECTED = {
     int: "an integer",
-    float: "a number",
+    _parse_number: "a finite number",
     _parse_bool: "a boolean",
-    _parse_da: "a comma list of numbers or logspace:start_exp,end_exp,count",
+    _parse_da: "a comma list of finite numbers or logspace:start_exp,end_exp,count",
 }
 
 
@@ -91,7 +100,6 @@ class RunConfig:
     tol: float = 1e-6
     maxit: int | None = None
     restart: int | None = None
-    preconditioner: str = "none"
     pin_pressure: bool = False
     da_values: tuple[float, ...] | None = None
     out_dir: str = "out"
@@ -110,8 +118,10 @@ class RunConfig:
             )
         if self.field_pattern is not None and self.field_pattern not in PATTERNS:
             raise ConfigError("field.pattern", f"must be one of {PATTERNS}, got {self.field_pattern!r}")
-        if self.contrast_x < 1.0 or self.contrast_y < 1.0:
-            raise ConfigError("field.contrast_x", "contrasts must be >= 1")
+        for key, contrast in (("field.contrast_x", self.contrast_x),
+                              ("field.contrast_y", self.contrast_y)):
+            if contrast < 1.0:
+                raise ConfigError(key, f"must be >= 1, got {contrast}")
         self.solver_config()
         if self.da_values is not None:
             try:
@@ -122,7 +132,7 @@ class RunConfig:
     def solver_config(self) -> SolverConfig:
         """The GMRES settings of this run; a bad one raises ConfigError('solver.<field>')."""
         try:
-            return SolverConfig(self.tol, self.maxit, self.restart, self.preconditioner)
+            return SolverConfig(self.tol, self.maxit, self.restart)
         except SettingError as exc:
             raise ConfigError(f"solver.{exc.field}", str(exc)) from exc
 
@@ -148,6 +158,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(line, f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key == "solver.preconditioner":
+            raise ConfigError(key, f"{source}:{lineno}: removed; GMRES always runs "
+                                   "unpreconditioned, delete this line")
         if key not in _KEYS:
             raise ConfigError(key, f"{source}:{lineno}: unknown key")
         name, parse = _KEYS[key]
@@ -215,10 +228,7 @@ def write_config(config: RunConfig, path) -> None:
         lines.append(f"solver.maxit = {config.maxit}")
     if config.restart is not None:
         lines.append(f"solver.restart = {config.restart}")
-    lines += [
-        f"solver.preconditioner = {config.preconditioner}",
-        f"solver.pin_pressure = {str(config.pin_pressure).lower()}",
-    ]
+    lines.append(f"solver.pin_pressure = {str(config.pin_pressure).lower()}")
     if config.da_values is not None:
         lines.append("sweep.da = " + ",".join(repr(v) for v in config.da_values))
     lines += [

@@ -90,6 +90,21 @@ class TestSparseConditionNumber:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         assert math.isfinite(condition_number(matrix).kappa)
 
+    def test_transpose_built_once(self):
+        # each Lanczos step applies A^T; binding it once gives the same
+        # csc_matvec kernel, so the same kappa bits
+        class CountingTranspose(sp.csr_matrix):
+            calls = 0
+
+            def transpose(self, *args, **kwargs):
+                CountingTranspose.calls += 1
+                return super().transpose(*args, **kwargs)
+
+        matrix = pinned_matrix(8, 1e5, 1.0)
+        report = condition_number(CountingTranspose(matrix))
+        assert CountingTranspose.calls <= 1
+        assert report == condition_number(matrix)
+
     @pytest.mark.parametrize("matrix", [pinned_matrix(8, 1e5, 1e5), sp.eye(7, format="csr")])
     def test_repeated_calls_bit_identical(self, matrix):
         # the identity breaks the Lanczos run down at its first step, where

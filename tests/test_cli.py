@@ -42,7 +42,7 @@ class TestConfig:
         config = RunConfig(
             nx=12, ny=10, anna=0.25, field_pattern="lognormal",
             contrast_x=1e4, contrast_y=30.0, seed=9, gx=2.0, gy=-0.5,
-            tol=1e-8, maxit=500, restart=60, preconditioner="jacobi",
+            tol=1e-8, maxit=500, restart=60,
             pin_pressure=True, da_values=(1e-3, 1.0, 1e3),
             out_dir="results", timings=False,
         )
@@ -105,6 +105,13 @@ class TestConfig:
                 "grid.nx = 2\ngrid.ny = 2\nanna = 1.0\nfield.pattern = layered\n"
                 "sweep.da = 1.0,0.1\n"
             )
+
+    @pytest.mark.parametrize("key", ["field.contrast_x", "field.contrast_y"])
+    def test_contrast_below_one_names_its_key(self, key):
+        axis = key[-1]
+        with pytest.raises(ConfigError) as info:
+            RunConfig(nx=2, ny=2, anna=1.0, field_pattern="layered", **{f"contrast_{axis}": 0.5})
+        assert info.value.key == key
 
     def test_incomplete_scales_rejected(self):
         with pytest.raises(ConfigError, match="scales"):
@@ -177,23 +184,23 @@ class TestSolveCommand:
         main(["solve", cfg])
         assert not list(out.glob(".tmp-*"))
 
-    def test_true_residual_reported_next_to_preconditioned_one(self, tmp_path, capsys):
-        # Jacobi on the layered 8x8 system at anna 1e-5: the scaled residual
-        # meets tol while the true one does not
+    def test_true_residual_reported_next_to_relres(self, tmp_path, capsys):
+        # the layered 8x8 system at anna 1e-5; GMRES runs unpreconditioned,
+        # so the residual it iterates on is the true one
         out = tmp_path / "out"
         cfg = write_cfg(
             tmp_path,
             "grid.nx = 8\ngrid.ny = 8\nanna = 1e-5\nfield.pattern = layered\n"
             "field.contrast_x = 1e5\nfield.contrast_y = 1e5\nsolver.tol = 1e-6\n"
-            f"solver.preconditioner = jacobi\noutput.timings = false\noutput.dir = {out}\n",
+            f"output.timings = false\noutput.dir = {out}\n",
         )
-        assert main(["solve", cfg]) == 1
+        assert main(["solve", cfg]) == 0
         header, row = (out / "report.csv").read_text().splitlines()
         assert header == "anna,iterations,converged,relres,divergence_max,regime,wall_ms,true_relres"
         fields = dict(zip(header.split(","), row.split(",")))
-        assert fields["converged"] == "false"
+        assert fields["converged"] == "true"
         assert float(fields["relres"]) <= 1e-6
-        assert float(fields["true_relres"]) > 1e-4
+        assert fields["true_relres"] == fields["relres"]
         stdout = capsys.readouterr().out
         assert f"relres={fields['relres']} true_relres={fields['true_relres']} " in stdout
 
@@ -348,6 +355,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("key, value", [
         ("solver.tol", "0.0"),
+        ("solver.tol", "1.0"),
+        ("solver.tol", "2"),
         ("solver.maxit", "0"),
         ("solver.restart", "-3"),
         ("solver.preconditioner", "ilu"),
@@ -361,6 +370,42 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, text)
         assert main(["solve", cfg]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["none", "jacobi"])
+    def test_removed_preconditioner_key_exits_2(self, tmp_path, capsys, value):
+        # old config_resolved.txt files carry "solver.preconditioner = none"
+        text = UNIFORM_SOLVE.format(out=tmp_path / "out") + f"solver.preconditioner = {value}\n"
+        with pytest.raises(ConfigError, match="GMRES always runs unpreconditioned") as info:
+            parse_config_text(text)
+        assert info.value.key == "solver.preconditioner"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "'solver.preconditioner'" in err
+        assert "delete this line" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("anna", "inf"),
+        ("field.contrast_x", "inf"),
+        ("field.contrast_y", "nan"),
+        ("bc.gx", "nan"),
+        ("bc.gy", "-inf"),
+        ("solver.tol", "inf"),
+        ("sweep.da", "1e-3,nan"),
+        ("sweep.da", "logspace:0,400,3"),
+    ])
+    def test_non_finite_number_named(self, tmp_path, capsys, key, value):
+        text = UNIFORM_SOLVE.format(out=tmp_path / "out")
+        lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+        text = "\n".join(lines + [f"{key} = {value}"]) + "\n"
+        with pytest.raises(ConfigError, match="finite") as info:
+            parse_config_text(text)
+        assert info.value.key == key
+        cfg = write_cfg(tmp_path, text)
+        assert main(["sweep", cfg]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_krylov_basis_over_physical_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(brinkman2d.solvers, "_physical_memory_bytes", lambda: 2**16)

@@ -9,7 +9,6 @@ from brinkman2d import (
     BoundaryData,
     SingularMatrixError,
     SolverConfig,
-    apply_jacobi,
     assemble_monolithic,
     build_grid,
     direct_solve,
@@ -125,25 +124,13 @@ def per_cycle_gmres_reference(A, b, cfg):
     n = b.size
     maxit = cfg.maxit if cfg.maxit is not None else n
     restart = min(cfg.restart if cfg.restart is not None else maxit, maxit)
-    if cfg.preconditioner == "jacobi":
-        scale = apply_jacobi(A)
-        b_eff = scale * b
-
-        def op(v):
-            return scale * (A @ v)
-    else:
-        b_eff = b
-
-        def op(v):
-            return A @ v
-
-    b_norm = float(np.linalg.norm(b_eff))
+    b_norm = float(np.linalg.norm(b))
     x = np.zeros(n)
     history = [1.0]
     total_iters = 0
     breakdown = False
     while True:
-        r = b_eff - op(x)
+        r = b - A @ x
         r_norm = float(np.linalg.norm(r))
         if r_norm / b_norm <= cfg.tol or total_iters >= maxit or breakdown or r_norm == 0.0:
             return x, np.asarray(history)
@@ -157,7 +144,7 @@ def per_cycle_gmres_reference(A, b, cfg):
         Q[0] = r / r_norm
         k_used = 0
         for k in range(m):
-            w = op(Q[k])
+            w = A @ Q[k]
             w_scale = float(np.linalg.norm(w))
             Qk = Q[: k + 1]
             h = Qk @ w
@@ -319,14 +306,12 @@ class TestGmres:
     @pytest.mark.parametrize("system, cfg, iterations", [
         # 300 = 42 * 7 + 6: the last cycle is one step short
         (lambda: layered_system(8, 1e-3), SolverConfig(tol=1e-6, maxit=300, restart=7), 300),
-        (lambda: layered_system(8, 1e-3),
-         SolverConfig(tol=1e-6, maxit=200, restart=20, preconditioner="jacobi"), 200),
         # b - A b / 2 = (-1/2, 0) spans an invariant subspace of A; tol is out
         # of reach, so only the breakdown in the second cycle stops the solve
         (lambda: (np.array([[1.0, 1.0], [0.0, 2.0]]), np.array([-0.5, 0.5])),
          SolverConfig(tol=1e-20, maxit=50, restart=1), 2),
         (lambda: layered_system(8, 1e-3), SolverConfig(tol=1e-6, maxit=208), 176),
-    ], ids=["short-last-cycle", "jacobi", "later-breakdown", "full"])
+    ], ids=["short-last-cycle", "later-breakdown", "full"])
     def test_one_workspace_matches_per_cycle_reference(self, system, cfg, iterations,
                                                         monkeypatch):
         # the reused Q and H give the same bits as a fresh pair per cycle;
@@ -492,44 +477,6 @@ class TestGmres:
         assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-8
 
 
-class TestJacobi:
-    def test_identity_preconditioner_is_identity(self):
-        assert np.array_equal(apply_jacobi(sp.eye(5, format="csr")), np.ones(5))
-
-    def test_exact_diagonal_converges_in_one_iteration(self):
-        A = sp.diags([10.0, 0.1])
-        cfg = SolverConfig(tol=1e-12, preconditioner="jacobi")
-        x, report = gmres_solve(A, np.array([1.0, 1.0]), cfg)
-        assert report.iterations == 1
-        np.testing.assert_allclose(x, [0.1, 10.0], rtol=1e-13)
-
-    def test_zero_diagonal_rows_fall_back_to_unit_scale(self):
-        A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(apply_jacobi(A), np.ones(2))
-        x, report = gmres_solve(A, np.array([2.0, 3.0]),
-                                SolverConfig(tol=1e-12, preconditioner="jacobi"))
-        assert report.converged
-        np.testing.assert_allclose(x, [3.0, 2.0], rtol=1e-13)
-
-    def test_converged_requires_true_residual(self):
-        # the scaled residual meets tol while ||b - A x|| / ||b|| is 3e-4
-        A, b = layered_system(8, 1e-5)
-        x, report = gmres_solve(A, b, SolverConfig(tol=1e-6, preconditioner="jacobi"))
-        assert report.final_relres <= 1e-6
-        assert report.residual_history[-1] <= 1e-6
-        assert report.true_relres == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-        assert report.true_relres > 1e-4
-        assert not report.converged
-
-    def test_saddle_point_diagonal_scaling(self):
-        grid = build_grid(4, 4)
-        system = assemble_monolithic(
-            grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0)
-        )
-        scale = apply_jacobi(system.matrix)
-        assert np.all(scale[grid.n_velocity:] == 1.0)  # zero pressure diagonal
-
-
 class TestDirect:
     def test_identity(self):
         b = np.arange(4.0)
@@ -597,5 +544,11 @@ def test_solver_config_validation():
         SolverConfig(maxit=0)
     with pytest.raises(ValueError):
         SolverConfig(restart=0)
-    with pytest.raises(ValueError):
-        SolverConfig(preconditioner="ilu")
+
+
+@pytest.mark.parametrize("tol", [1.0, 2.0, np.inf, np.nan])
+def test_tol_must_be_finite_and_below_one(tol):
+    # the zero initial guess has relres 1, so tol >= 1 would "converge" at once
+    with pytest.raises(SettingError, match="must be in \\(0, 1\\)") as info:
+        SolverConfig(tol=tol)
+    assert info.value.field == "tol"
