@@ -110,8 +110,8 @@ class RunConfig:
             raise ConfigError("grid.nx", f"grid must be at least 1x1, got {self.nx}x{self.ny}")
         if (self.anna is None) == (self.scales is None):
             raise ConfigError("anna", "exactly one of 'anna' or the 'scales.*' block is required")
-        if self.anna is not None and self.anna <= 0.0:
-            raise ConfigError("anna", f"must be positive, got {self.anna}")
+        if self.anna is not None and not (np.isfinite(self.anna) and self.anna > 0.0):
+            raise ConfigError("anna", f"must be positive and finite, got {self.anna}")
         if (self.field_pattern is None) == (self.field_path is None):
             raise ConfigError(
                 "field.pattern", "exactly one field source is required ('field.pattern' or 'field.path')"
@@ -120,8 +120,11 @@ class RunConfig:
             raise ConfigError("field.pattern", f"must be one of {PATTERNS}, got {self.field_pattern!r}")
         for key, contrast in (("field.contrast_x", self.contrast_x),
                               ("field.contrast_y", self.contrast_y)):
-            if contrast < 1.0:
-                raise ConfigError(key, f"must be >= 1, got {contrast}")
+            if not (np.isfinite(contrast) and contrast >= 1.0):
+                raise ConfigError(key, f"must be finite and >= 1, got {contrast}")
+        for key, value in (("bc.gx", self.gx), ("bc.gy", self.gy)):
+            if not np.isfinite(value):
+                raise ConfigError(key, f"must be a finite number, got {value}")
         self.solver_config()
         if self.da_values is not None:
             try:

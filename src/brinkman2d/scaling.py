@@ -92,10 +92,12 @@ def classify_regime(
 
 
 def check_da_values(da_values) -> tuple[float, ...]:
-    """A Darcy-number sweep as floats: nonempty, positive, strictly ascending."""
+    """A Darcy-number sweep as floats: nonempty, finite, positive, strictly ascending."""
     da = tuple(float(v) for v in da_values)
     if not da:
         raise ValueError("Da list must be nonempty")
+    if not all(math.isfinite(v) for v in da):
+        raise ValueError("Da values must be finite")
     if any(v <= 0.0 for v in da):
         raise ValueError("Da values must be positive")
     if any(b <= a for a, b in zip(da, da[1:])):

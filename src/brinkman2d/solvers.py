@@ -5,9 +5,11 @@ Gram-Schmidt run twice (CGS2) as BLAS matrix-vector products, and
 Givens-rotation least squares.  Each step keeps only the last row of
 the accumulated rotation factor, which gives the new rotation from one
 dot product with the raw Hessenberg column; the cycle's rotations are
-applied to the Hessenberg once, row by row, before the triangular
-solve.  The basis and the Hessenberg are allocated once per solve and
-reused by every restart cycle.  The reference path is a sparse LU
+applied to the Hessenberg once, row by row, before the triangle is
+solved by back substitution.  The Hessenberg is stored row-packed, its
+upper triangle and subdiagonal only, in one 1-D array.  The basis and
+that store are allocated once per solve and reused by every restart
+cycle.  The reference path is a sparse LU
 factorization (SuperLU) used as the oracle in verification runs.  Full
 GMRES (restart = maxit) is the default, matching the replication
 setting of the regime study; restarting is exposed for experimentation.
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dtrtrs
 
 from ._util import checked_square_matrix
 
@@ -70,8 +71,11 @@ class SolveReport:
     the returned iterate, and converged means it meets tol.  true_relres
     equals final_relres: GMRES runs unpreconditioned, so the last residual
     it takes is already the true one.  workspace_bytes is the size of the
-    Krylov basis plus the Hessenberg matrix the solve allocated (0 for a
-    zero rhs).
+    ``(m+1) x n`` Krylov basis plus the packed Hessenberg (``m + m(m+1)/2``
+    doubles) the solve allocated, ``m = min(restart, maxit, n)``; 0 for a
+    zero rhs.  cycles counts the restart cycles run (1 for full GMRES), and
+    breakdown is True when the Arnoldi process broke down, i.e. the last
+    Krylov space was invariant.
     """
 
     iterations: int
@@ -81,6 +85,8 @@ class SolveReport:
     residual_history: np.ndarray = field(repr=False)
     wall_time: float = 0.0
     workspace_bytes: int = 0
+    cycles: int = 0
+    breakdown: bool = False
 
 
 def _linear_system(matrix, rhs):
@@ -100,15 +106,15 @@ def _physical_memory_bytes() -> int:
 
 
 def _check_basis_fits(n: int, m: int) -> None:
-    """Refuse a GMRES(m) workspace whose basis ``Q`` and Hessenberg ``H``
-    exceed physical memory, before either is allocated."""
-    need = (m + 1) * n * 8 + (m + 1) * m * 8
+    """Refuse a GMRES(m) workspace whose basis ``Q`` and packed Hessenberg
+    ``H`` exceed physical memory, before either is allocated."""
+    need = ((m + 1) * n + m * (m + 1) // 2 + m) * 8
     available = _physical_memory_bytes()
     if need > available:
         raise SettingError(
             "restart",
             f"m = {m} on n = {n} unknowns needs {need / 2**30:.1f} GiB for the Krylov basis and "
-            f"Hessenberg, more than the {available / 2**30:.1f} GiB of physical memory; "
+            f"packed Hessenberg, more than the {available / 2**30:.1f} GiB of physical memory; "
             "set solver.restart lower",
         )
 
@@ -121,9 +127,9 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     iterate; hitting maxit returns the best iterate with
     ``converged=False``.  The result is deterministic for fixed inputs.
     Raises :class:`SettingError` on ``restart`` when the Krylov basis and
-    Hessenberg cannot fit in physical memory (the default ``maxit = n``
-    asks for an ``(n+1) x n`` basis).  ``SolveReport.workspace_bytes``
-    gives their size.
+    packed Hessenberg cannot fit in physical memory (the default
+    ``maxit = n`` asks for an ``(n+1) x n`` basis and ``n(n+1)/2 + n``
+    Hessenberg entries).  ``SolveReport.workspace_bytes`` gives their size.
     """
     cfg = config or SolverConfig()
     A, b = _linear_system(matrix, rhs)
@@ -143,21 +149,22 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
                               wall_time=time.perf_counter() - t0)
 
     # One workspace per solve: every cycle, a shorter last one included,
-    # works in the leading rows and columns of Q and H.  H is not re-zeroed
-    # between cycles: the rotation pass and the triangular solve read only
-    # entries (i, j) with i <= j + 1 of the cycle's first k_used columns,
-    # and the cycle writes all of them before they are read.  Entries below
-    # the subdiagonal are never written, but pages fault in whole: the
-    # canonical solve at Da = 1e-5 has 11.5 of its 11.7 MiB of H resident
-    # (numpy advises 2 MiB huge pages for arrays of 4 MiB or more), 8.8 MiB
-    # with NUMPY_MADVISE_HUGEPAGE=0.
+    # works in the leading rows of Q and the leading columns of the
+    # Hessenberg.  Only the upper triangle and the subdiagonal of H are ever
+    # nonzero, so H lives row-packed in one 1-D store: row i holds columns
+    # max(i - 1, 0) .. m_max - 1 contiguously and entry (i, j) sits at
+    # base[i] + j.  The store is not cleared between cycles: a cycle reads
+    # only entries of its own columns, and it writes them first.
     Q = np.empty((m_max + 1, n))
-    H = np.zeros((m_max + 1, m_max))
+    rows = np.arange(m_max + 1)
+    base = rows * m_max - rows * (rows - 1) // 2
+    H = np.empty(m_max + m_max * (m_max + 1) // 2)
     cs, sn = np.empty(m_max), np.empty(m_max)
     omega = np.empty(m_max + 1)  # last row of the accumulated rotation factor
     x = np.zeros(n)
     history = [1.0]
     total_iters = 0
+    cycles = 0
     final_relres = 1.0
     breakdown = False
 
@@ -169,6 +176,7 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
             break
 
         m = min(m_max, maxit - total_iters)
+        cycles += 1
         omega[0] = 1.0
         g = [r_norm]
         np.divide(r, r_norm, out=Q[0])
@@ -184,8 +192,8 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
             w -= h2 @ Qk
             h += h2
             h_next = float(np.linalg.norm(w))
-            H[: k + 1, k] = h
-            H[k + 1, k] = h_next
+            H[base[: k + 1] + k] = h
+            H[base[k + 1] + k] = h_next
 
             # row k of the column rotated by all earlier rotations is omega @ h
             a = float(omega[: k + 1] @ h)
@@ -212,12 +220,12 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
                 break
             np.divide(w, h_next, out=Q[k + 1])
 
-        R = H[: k_used + 1, :k_used]
         for i in range(k_used):  # the cycle's rotations, once, row by row
             c, s = cs[i], sn[i]
-            R[i, i:], R[i + 1, i:] = (c * R[i, i:] + s * R[i + 1, i:],
-                                      -s * R[i, i:] + c * R[i + 1, i:])
-        y = _solve_upper(H[:k_used], np.array(g[:k_used]))
+            top = H[base[i] + i: base[i] + k_used]
+            bottom = H[base[i + 1] + i: base[i + 1] + k_used]
+            top[:], bottom[:] = c * top + s * bottom, -s * top + c * bottom
+        y = _solve_packed_upper(H, base, g[:k_used])
         x = x + Q[:k_used].T @ y
 
         if breakdown or total_iters >= maxit:
@@ -233,25 +241,29 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
         residual_history=np.asarray(history),
         wall_time=time.perf_counter() - t0,
         workspace_bytes=Q.nbytes + H.nbytes,
+        cycles=cycles,
+        breakdown=breakdown,
     )
     return x, report
 
 
-def _solve_upper(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve ``R y = g`` for the upper triangle ``R`` of ``rows[:, :k]``,
-    ``k = g.size``, where ``rows`` is C-contiguous.
-
-    ``rows.T`` is Fortran-ordered with ``lda = rows.shape[1]`` and holds
-    ``R^T`` in its lower triangle, so LAPACK ``dtrtrs`` (lower, transposed:
-    what ``solve_triangular`` calls on a row-major triangle) reads it in
-    place, without the copy ``solve_triangular`` makes of a strided view.
-    """
-    R = rows[:, : g.size]
-    if np.any(np.diag(R) == 0.0):
-        # stalled iteration on a singular operator: minimum-norm fallback;
-        # triu drops the rounding left below the diagonal by the rotations
-        return np.linalg.lstsq(np.triu(R), g, rcond=None)[0]
-    y, _ = dtrtrs(rows.T, g, lower=1, trans=1)
+def _solve_packed_upper(store: np.ndarray, base: np.ndarray, g: list) -> np.ndarray:
+    """Solve ``R y = g`` by back substitution, where row ``i`` of the upper
+    triangle ``R`` (``k = len(g)``) starts at ``store[base[i] + i]``."""
+    k = len(g)
+    y = np.array(g)
+    diagonal = store[base[:k] + np.arange(k)]
+    if not diagonal.all():
+        # stalled iteration on a singular operator: minimum-norm fallback on
+        # the unpacked triangle (the rounding the rotations leave below the
+        # diagonal is not unpacked)
+        R = np.zeros((k, k))
+        for i in range(k):
+            R[i, i:] = store[base[i] + i: base[i] + k]
+        return np.linalg.lstsq(R, y, rcond=None)[0]
+    for i in range(k - 1, -1, -1):
+        row = store[base[i] + i: base[i] + k]
+        y[i] = (y[i] - row[1:] @ y[i + 1:]) / row[0]
     return y
 
 

@@ -255,6 +255,9 @@ class TestSweep:
             sweep_darcy(grid, field, (1.0, 0.1), 1.0, bc, SolverConfig())
         with pytest.raises(ValueError):
             sweep_darcy(grid, field, (-1.0, 1.0), 1.0, bc, SolverConfig())
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sweep_darcy(grid, field, (1.0, bad), 1.0, bc, SolverConfig())
 
     def test_regime_column(self):
         grid, field, bc = self.small_setup()

@@ -11,7 +11,7 @@ from brinkman2d import (
     parse_config,
     write_config,
 )
-from brinkman2d.cli import VERIFY_CHECKS, main
+from brinkman2d.cli import VERIFY_CHECKS, main, write_scalar_field
 from brinkman2d.config import ConfigError, parse_config_text
 
 
@@ -113,6 +113,26 @@ class TestConfig:
             RunConfig(nx=2, ny=2, anna=1.0, field_pattern="layered", **{f"contrast_{axis}": 0.5})
         assert info.value.key == key
 
+    @pytest.mark.parametrize("key, value", [
+        ("anna", float("nan")),
+        ("anna", float("inf")),
+        ("field.contrast_x", float("nan")),
+        ("field.contrast_y", float("inf")),
+        ("bc.gx", float("inf")),
+        ("bc.gy", float("nan")),
+        ("sweep.da", (1.0, float("nan"))),
+        ("sweep.da", (1.0, float("inf"))),
+    ])
+    def test_non_finite_value_named_without_parser(self, key, value):
+        # the library path: RunConfig built directly, no config text parsed
+        field = {"anna": "anna", "field.contrast_x": "contrast_x",
+                 "field.contrast_y": "contrast_y", "bc.gx": "gx", "bc.gy": "gy",
+                 "sweep.da": "da_values"}[key]
+        settings = {"nx": 2, "ny": 2, "anna": 1.0, "field_pattern": "layered", field: value}
+        with pytest.raises(ConfigError, match="finite") as info:
+            RunConfig(**settings)
+        assert info.value.key == key
+
     def test_incomplete_scales_rejected(self):
         with pytest.raises(ConfigError, match="scales"):
             parse_config_text(
@@ -145,6 +165,17 @@ class TestSolveCommand:
         assert lines[0] == "#field u"
         assert lines[1] == "8 8"
         assert len(lines) == 2 + 9 * 8  # (nx+1)*ny u-faces
+
+    def test_solution_field_bytes(self, tmp_path):
+        # round-trip precision, signed zero, subnormal and the largest doubles
+        values = np.array([-0.0, 5e-324, 0.1, 1.0 / 3.0,
+                           1.7976931348623157e308, -1.7976931348623157e308])
+        path = tmp_path / "u.txt"
+        write_scalar_field(path, build_grid(2, 3), values, "u")
+        assert path.read_bytes() == (
+            b"#field u\n2 3\n-0\n4.9406564584124654e-324\n0.10000000000000001\n"
+            b"0.33333333333333331\n1.7976931348623157e+308\n-1.7976931348623157e+308\n"
+        )
 
     def test_deterministic_rerun_bitwise(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -10,6 +10,7 @@ from brinkman2d import (
     nondimensionalize,
     redimensionalize,
 )
+from brinkman2d.scaling import check_da_values
 
 
 def test_groups_unit_scales_small_permeability():
@@ -60,6 +61,15 @@ def test_scales_must_be_positive_and_finite():
         ReferenceScales(1.0, 1.0, -1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         ReferenceScales(1.0, 1.0, 1.0, 1.0, float("nan"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_da_values_must_be_finite(bad):
+    # comparisons with NaN are False, so only an explicit check rejects it
+    with pytest.raises(ValueError, match="finite"):
+        check_da_values((1.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        check_da_values((bad,))
 
 
 def test_redimensionalize_constants():

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import brinkman2d.solvers
 from brinkman2d import (
     BoundaryData,
     SingularMatrixError,
@@ -117,10 +118,20 @@ def cgs2_givens_reference(A, b, tol, maxit, restart):
         x = x + Q[: k + 1].T @ y
 
 
+def back_substitute(R, g):
+    """Solve the upper-triangular ``R y = g`` row by row, from the last row
+    up, with the arithmetic of ``gmres_solve`` on its packed rows."""
+    y = np.array(g)
+    for i in range(y.size - 1, -1, -1):
+        y[i] = (y[i] - R[i, i + 1:] @ y[i + 1:]) / R[i, i]
+    return y
+
+
 def per_cycle_gmres_reference(A, b, cfg):
-    """The loop of ``gmres_solve`` before it kept one workspace per solve:
-    a fresh ``Q``/``H`` every restart cycle and ``solve_triangular`` on the
-    strided triangle.  Returns ``(x, history)``."""
+    """The loop of ``gmres_solve`` before it kept one workspace per solve and
+    packed the Hessenberg: a fresh ``Q`` and dense ``H`` every restart cycle,
+    the triangle solved by :func:`back_substitute` on the dense rows.
+    Returns ``(x, history)``."""
     n = b.size
     maxit = cfg.maxit if cfg.maxit is not None else n
     restart = min(cfg.restart if cfg.restart is not None else maxit, maxit)
@@ -181,30 +192,33 @@ def per_cycle_gmres_reference(A, b, cfg):
             c, s = cs[i], sn[i]
             R[i, i:], R[i + 1, i:] = (c * R[i, i:] + s * R[i + 1, i:],
                                       -s * R[i, i:] + c * R[i + 1, i:])
-        y = scipy.linalg.solve_triangular(R[:k_used], np.array(g[:k_used]), lower=False)
+        y = back_substitute(R[:k_used], g[:k_used])
         x = x + Q[:k_used].T @ y
         if breakdown or total_iters >= maxit:
             return x, np.asarray(history)
 
 
-def record_2d_allocations(monkeypatch, fill=None):
-    """Patch ``np.empty``/``np.zeros`` to record the shape of every 2-D array
-    they allocate and, with ``fill``, to overwrite it; returns the list."""
+def record_empty_allocations(monkeypatch, fill=None):
+    """Patch ``np.empty`` to record the shape of every array it allocates
+    and, with ``fill``, to overwrite it; returns the list."""
     shapes = []
+    empty = np.empty
 
-    def recording(allocate):
-        def allocate_2d(shape, *args, **kwargs):
-            array = allocate(shape, *args, **kwargs)
-            if array.ndim == 2:
-                shapes.append(array.shape)
-                if fill is not None:
-                    array.fill(fill)
-            return array
-        return allocate_2d
+    def recording_empty(shape, *args, **kwargs):
+        array = empty(shape, *args, **kwargs)
+        shapes.append(array.shape)
+        if fill is not None:
+            array.fill(fill)
+        return array
 
-    monkeypatch.setattr(np, "empty", recording(np.empty))
-    monkeypatch.setattr(np, "zeros", recording(np.zeros))
+    monkeypatch.setattr(np, "empty", recording_empty)
     return shapes
+
+
+def workspace_shapes(n, m):
+    """What ``gmres_solve`` allocates with ``np.empty``, once per solve: the
+    basis, the packed Hessenberg, ``cs``, ``sn`` and ``omega``."""
+    return [(m + 1, n), (m + m * (m + 1) // 2,), (m,), (m,), (m + 1,)]
 
 
 def layered_system(nx, anna):
@@ -299,33 +313,38 @@ class TestGmres:
         x, report = gmres_solve(A, b, SolverConfig(tol=1e-6, maxit=maxit, restart=restart))
         x_ref, history_ref = cgs2_givens_reference(A, b, 1e-6, maxit, restart or maxit)
         assert report.iterations == len(history_ref) - 1 == iterations
+        assert report.cycles == {None: 1, 7: 43}[restart]
+        assert not report.breakdown
         assert report.true_relres == report.final_relres
         np.testing.assert_allclose(report.residual_history, history_ref, rtol=history_rtol, atol=0)
         np.testing.assert_allclose(x, x_ref, rtol=0, atol=x_rtol * np.abs(x_ref).max())
 
-    @pytest.mark.parametrize("system, cfg, iterations", [
+    @pytest.mark.parametrize("system, cfg, iterations, cycles, breakdown", [
         # 300 = 42 * 7 + 6: the last cycle is one step short
-        (lambda: layered_system(8, 1e-3), SolverConfig(tol=1e-6, maxit=300, restart=7), 300),
+        (lambda: layered_system(8, 1e-3), SolverConfig(tol=1e-6, maxit=300, restart=7),
+         300, 43, False),
         # b - A b / 2 = (-1/2, 0) spans an invariant subspace of A; tol is out
         # of reach, so only the breakdown in the second cycle stops the solve
         (lambda: (np.array([[1.0, 1.0], [0.0, 2.0]]), np.array([-0.5, 0.5])),
-         SolverConfig(tol=1e-20, maxit=50, restart=1), 2),
-        (lambda: layered_system(8, 1e-3), SolverConfig(tol=1e-6, maxit=208), 176),
+         SolverConfig(tol=1e-20, maxit=50, restart=1), 2, 2, True),
+        (lambda: layered_system(8, 1e-3), SolverConfig(tol=1e-6, maxit=208), 176, 1, False),
     ], ids=["short-last-cycle", "later-breakdown", "full"])
-    def test_one_workspace_matches_per_cycle_reference(self, system, cfg, iterations,
-                                                        monkeypatch):
-        # the reused Q and H give the same bits as a fresh pair per cycle;
-        # both are filled with NaN when allocated, so an entry the current
-        # cycle has not written (H is never re-zeroed) would show as NaN
+    def test_one_workspace_matches_per_cycle_reference(self, system, cfg, iterations, cycles,
+                                                        breakdown, monkeypatch):
+        # the reused basis and packed store give the same bits as a fresh
+        # dense pair per cycle; the workspace is filled with NaN when
+        # allocated, so an entry the current cycle has not written (it is
+        # never cleared) would show as NaN
         A, b = system()
         x_ref, history_ref = per_cycle_gmres_reference(A, b, cfg)
-        shapes = record_2d_allocations(monkeypatch, fill=np.nan)
+        shapes = record_empty_allocations(monkeypatch, fill=np.nan)
         x, report = gmres_solve(A, b, cfg)
         assert report.iterations == iterations
+        assert (report.cycles, report.breakdown) == (cycles, breakdown)
         assert np.array_equal(x, x_ref)
         assert np.array_equal(report.residual_history, history_ref)
         m = min(cfg.restart or cfg.maxit, cfg.maxit, b.size)
-        assert shapes == [(m + 1, b.size), (m + 1, m)]
+        assert shapes == workspace_shapes(b.size, m)
 
     def test_restarted_solve_allocates_one_workspace(self, monkeypatch):
         # GMRES(50) stagnates here and runs six cycles to maxit; a basis
@@ -333,7 +352,7 @@ class TestGmres:
         A, b = layered_system(8, 1e-3)
         n, m = b.size, 50
         cfg = SolverConfig(tol=1e-6, maxit=300, restart=m)
-        shapes = record_2d_allocations(monkeypatch)
+        shapes = record_empty_allocations(monkeypatch)
         tracemalloc.start()
         try:
             _, report = gmres_solve(A, b, cfg)
@@ -341,17 +360,39 @@ class TestGmres:
         finally:
             tracemalloc.stop()
         assert report.iterations == 300
-        assert shapes == [(m + 1, n), (m + 1, m)]
-        assert report.workspace_bytes == ((m + 1) * n + (m + 1) * m) * 8
+        assert report.cycles == 6
+        assert shapes == workspace_shapes(n, m)
+        assert report.workspace_bytes == ((m + 1) * n + m * (m + 1) // 2 + m) * 8
         assert peak < 1.5 * report.workspace_bytes
 
-    def test_workspace_bytes_on_canonical_size(self):
-        # full GMRES on the 20x20 grid: a 1241 x 1240 basis and Hessenberg
+    def test_workspace_bytes_on_canonical_size(self, monkeypatch):
+        # full GMRES on the 20x20 grid: a 1241 x 1240 basis and a packed
+        # Hessenberg of 1240 + 1240 * 1241 / 2 doubles; the memory guard asks
+        # for exactly these bytes
         A, b = layered_system(20, 1e5)
+        need = (1241 * 1240 + 1240 * 1241 // 2 + 1240) * 8
+        assert need == 18_476_000
+        monkeypatch.setattr(brinkman2d.solvers, "_physical_memory_bytes", lambda: need)
         _, report = gmres_solve(A, b, SolverConfig(tol=1e-6))
         assert b.size == 1240
         assert report.converged
-        assert report.workspace_bytes == (1241 * 1240 + 1241 * 1240) * 8
+        assert report.workspace_bytes == need
+        monkeypatch.setattr(brinkman2d.solvers, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(SettingError, match="n = 1240 unknowns"):
+            gmres_solve(A, b, SolverConfig(tol=1e-6))
+
+    def test_guard_admits_what_only_a_dense_hessenberg_would_not_fit(self, monkeypatch):
+        # at m = n = 20 the packed workspace needs 5200 B, a dense (m+1) x m
+        # Hessenberg would have made it 6720 B
+        n = 20
+        packed = ((n + 1) * n + n * (n + 1) // 2 + n) * 8
+        dense = ((n + 1) * n + (n + 1) * n) * 8
+        assert (packed, dense) == (5200, 6720)
+        monkeypatch.setattr(brinkman2d.solvers, "_physical_memory_bytes",
+                            lambda: (packed + dense) // 2)
+        x, report = gmres_solve(spd_tridiagonal(n), np.ones(n), SolverConfig(tol=1e-12))
+        assert report.converged
+        assert report.workspace_bytes == packed
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("matrix", [np.zeros((1, 1)), np.array([[0.0, 1.0], [0.0, 0.0]])])
@@ -368,6 +409,35 @@ class TestGmres:
         assert report.final_relres == 1.0
         assert report.true_relres == 1.0
         assert list(report.residual_history) == [1.0, 1.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("last_and_first", [False, True], ids=["e_n", "e_n+e_1"])
+    def test_zero_diagonal_after_several_steps(self, last_and_first, monkeypatch):
+        # the nilpotent shift S e_j = e_{j-1} walks the Krylov space from e_n
+        # down to e_1, and S e_1 = 0: the last rotated diagonal entry is zero
+        # after n - 1 regular steps, so the solve takes the least-squares
+        # fallback, whose minimum-norm update must match the dense one
+        n = 6
+        A = np.diag(np.ones(n - 1), 1)
+        b = np.zeros(n)
+        b[-1] = 1.0
+        b[0] = float(last_and_first)
+        lstsq_shapes = []
+        lstsq = np.linalg.lstsq
+
+        def recording_lstsq(R, g, rcond):
+            lstsq_shapes.append(R.shape)
+            return lstsq(R, g, rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        x, report = gmres_solve(A, b)
+        x_ref = lstsq(A, b, rcond=None)[0]
+        assert lstsq_shapes == [(n, n)]
+        assert (report.iterations, report.cycles, report.breakdown) == (n, 1, True)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-15)
+        assert report.final_relres == pytest.approx(
+            np.linalg.norm(b - A @ x_ref) / np.linalg.norm(b), rel=1e-15)
+        assert not report.converged
 
     def test_deterministic_repeat(self):
         A, b = shifted_random(80, 7)
@@ -407,6 +477,8 @@ class TestGmres:
         x, report = gmres_solve(A, b, SolverConfig(tol=1e-12))
         assert report.iterations == 1
         assert report.converged
+        assert report.breakdown
+        assert report.cycles == 1
         np.testing.assert_allclose(x, [2.0, 0, 0, 0, 0], atol=1e-14)
 
     def test_singular_but_compatible_system(self):
