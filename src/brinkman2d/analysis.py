@@ -21,7 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+# scipy.sparse.linalg (SuperLU, ARPACK: ~10 MB resident) is imported by the
+# kappa functions that use it, so a process that never asks for kappa or a
+# direct solve never loads it
 
 from ._util import atomic_write_text, checked_square_matrix
 from .discretization import (
@@ -112,6 +115,8 @@ def _sigma_max(n: int, matvec, rmatvec) -> float:
     from the ones vector, as ``svds(k=1)`` runs it, but with the generator
     for the restart vectors ARPACK draws after a breakdown seeded, so a
     repeated call returns the same bits."""
+    import scipy.sparse.linalg as spla
+
     gram = spla.LinearOperator((n, n), matvec=lambda x: rmatvec(matvec(x)), dtype=float)
     # 1e-14 relative on sigma is 1e-28 on its square
     _, vectors = spla.eigsh(gram, k=1, tol=1e-28, v0=np.ones(n), rng=0)
@@ -125,6 +130,8 @@ def _singular_extremes(A) -> tuple[float, float]:
     LU factor (Higham, *Accuracy and Stability of Numerical Algorithms*,
     ch. 15).  Raises ``RuntimeError`` when the factor is exactly singular
     or ARPACK fails."""
+    import scipy.sparse.linalg as spla
+
     n = A.shape[0]
     lu = spla.splu(A.tocsc())
     AT = A.T  # bound once: every A.T builds a new transpose object
@@ -420,6 +427,14 @@ def manufactured_run(grid_sizes, anna: float, kstar_value: float = 1.0) -> Conve
     return ConvergenceStudy(sizes, vel_errors, p_errors, vel_orders, p_orders)
 
 
+def _relative_difference(x, reference, model: str) -> float:
+    ref_norm = float(np.linalg.norm(reference))
+    if ref_norm == 0.0:
+        raise ValueError(f"the {model} reference flow is identically zero; "
+                         "the limit check needs nonzero wall data")
+    return float(np.linalg.norm(x - reference)) / ref_norm
+
+
 def limit_checks(
     grid: StaggeredGrid,
     field_: PermeabilityField,
@@ -437,7 +452,8 @@ def limit_checks(
     removed.  Both use pinned direct solves.  ``stokes_bc`` lets the
     Stokes comparison run under tangential (e.g. lid-driven) data, which
     exercises it more than a uniform through-flow does; it defaults to
-    ``bc``.
+    ``bc``.  Raises ``ValueError`` when a reference flow is identically
+    zero (zero wall data), since the relative difference is then 0/0.
     """
     interior = ~boundary_velocity_mask(grid)
 
@@ -446,7 +462,7 @@ def limit_checks(
     oracle = assemble_monolithic(grid, kstar, 0.0, bc, pin_pressure=True)
     x_full = direct_solve(full.matrix, full.rhs)[: grid.n_velocity][interior]
     x_oracle = direct_solve(oracle.matrix, oracle.rhs)[: grid.n_velocity][interior]
-    darcy_rel = float(np.linalg.norm(x_full - x_oracle) / np.linalg.norm(x_oracle))
+    darcy_rel = _relative_difference(x_full, x_oracle, "Darcy")
 
     ones = uniform_kstar(grid)
     sbc = bc if stokes_bc is None else stokes_bc
@@ -456,6 +472,6 @@ def limit_checks(
     )
     u_full = direct_solve(full_s.matrix, full_s.rhs)[: grid.n_velocity]
     u_oracle = direct_solve(oracle_s.matrix, oracle_s.rhs)[: grid.n_velocity]
-    stokes_rel = float(np.linalg.norm(u_full - u_oracle) / np.linalg.norm(u_oracle))
+    stokes_rel = _relative_difference(u_full, u_oracle, "Stokes")
 
     return LimitCheckReport(darcy_rel, stokes_rel)

@@ -143,6 +143,10 @@ def run_gen_field(config: RunConfig, quiet: bool = False) -> int:
 
 def run_verify(config: RunConfig, quiet: bool = False) -> int:
     """Run the fixed six-check verification suite; exit 0 iff all pass."""
+    if config.gx == 0.0 and config.gy == 0.0:
+        # no flow: uniform_flow and divergence would pass vacuously and the
+        # Darcy limit would compare zero with zero
+        raise ConfigError("bc.gx", "verify needs nonzero wall data, but bc.gx and bc.gy are both 0")
     results: dict[str, tuple[bool, str]] = {}
 
     # uniform flow: constant data and uniform K* admit an exact discrete solution

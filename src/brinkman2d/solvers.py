@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+# scipy.sparse.linalg (SuperLU, ARPACK: ~10 MB resident) is imported by
+# direct_solve alone, so a GMRES-only process never loads it
 
 from ._util import checked_square_matrix
 
@@ -177,6 +179,7 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
 
         m = min(m_max, maxit - total_iters)
         cycles += 1
+        singular = False  # a rounding-level rotated diagonal in this cycle
         omega[0] = 1.0
         g = [r_norm]
         np.divide(r, r_norm, out=Q[0])
@@ -198,8 +201,12 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
             # row k of the column rotated by all earlier rotations is omega @ h
             a = float(omega[: k + 1] @ h)
             denom = float(np.hypot(a, h_next))
-            if denom == 0.0:  # swap rotation: the estimate stays |g[k]|
+            if denom <= 1e-14 * max(w_scale, 1e-300):
+                # a rounding-level diagonal counts as zero (h_next then
+                # meets the breakdown test too): swap rotation, so the
+                # estimate stays |g[k]|, and the least-squares fallback
                 c, s = 0.0, 1.0
+                singular = True
             else:
                 c, s = a / denom, h_next / denom
             cs[k], sn[k] = c, s
@@ -225,7 +232,7 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
             top = H[base[i] + i: base[i] + k_used]
             bottom = H[base[i + 1] + i: base[i + 1] + k_used]
             top[:], bottom[:] = c * top + s * bottom, -s * top + c * bottom
-        y = _solve_packed_upper(H, base, g[:k_used])
+        y = _solve_packed_upper(H, base, g[:k_used], singular)
         x = x + Q[:k_used].T @ y
 
         if breakdown or total_iters >= maxit:
@@ -247,13 +254,16 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     return x, report
 
 
-def _solve_packed_upper(store: np.ndarray, base: np.ndarray, g: list) -> np.ndarray:
+def _solve_packed_upper(store: np.ndarray, base: np.ndarray, g: list,
+                        singular: bool) -> np.ndarray:
     """Solve ``R y = g`` by back substitution, where row ``i`` of the upper
-    triangle ``R`` (``k = len(g)``) starts at ``store[base[i] + i]``."""
+    triangle ``R`` (``k = len(g)``) starts at ``store[base[i] + i]``; a
+    ``singular`` triangle, or one with a zero on its diagonal, gets the
+    minimum-norm least-squares solution instead."""
     k = len(g)
     y = np.array(g)
     diagonal = store[base[:k] + np.arange(k)]
-    if not diagonal.all():
+    if singular or not diagonal.all():
         # stalled iteration on a singular operator: minimum-norm fallback on
         # the unpacked triangle (the rounding the rotations leave below the
         # diagonal is not unpacked)
@@ -275,6 +285,8 @@ def direct_solve(matrix, rhs) -> np.ndarray:
     column, naming its index, or on an exactly singular pivot (use a
     pinned monolithic system).
     """
+    import scipy.sparse.linalg as spla
+
     A, b = _linear_system(matrix, rhs)
     csc = sp.csc_matrix(A, copy=True)  # eliminate_zeros works in place
     csc.eliminate_zeros()

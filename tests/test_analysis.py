@@ -394,6 +394,13 @@ class TestLimits:
         assert report.stokes_rel_diff <= 1e-3
         assert report.stokes_rel_diff > 0.0  # lid flow actually exercises the drag
 
+    def test_zero_wall_data_is_refused(self):
+        # both reference flows vanish, and a relative difference would be 0/0
+        grid = build_grid(4, 4)
+        field = generate_contrast_field(grid, 10.0, 10.0, "layered", 0)
+        with pytest.raises(ValueError, match="Darcy reference flow is identically zero"):
+            limit_checks(grid, field, BoundaryData.uniform(grid, 0.0, 0.0))
+
     def test_darcy_oracle_is_the_zero_anna_assembly(self):
         grid = build_grid(4, 4)
         field = generate_contrast_field(grid, 10.0, 10.0, "checkerboard", 0)

@@ -1,6 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import brinkman2d.analysis
+import brinkman2d.cli
 import brinkman2d.solvers
 from brinkman2d import (
     ReferenceScales,
@@ -156,6 +164,31 @@ class TestSolveCommand:
         # the resolved config re-parses to the same run
         resolved = parse_config(out / "config_resolved.txt")
         assert resolved == parse_config(cfg)
+
+    def test_solve_never_loads_sparse_linalg(self, tmp_path):
+        # SuperLU, ARPACK and the LAPACK wrappers of scipy.linalg cost ~10 MB
+        # resident that a GMRES solve never uses.  A fresh interpreter, since
+        # this one has imported scipy.sparse.linalg already.
+        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "unused")
+                        .replace("grid.nx = 8\ngrid.ny = 8", "grid.nx = 4\ngrid.ny = 4"))
+        script = (
+            "import json, sys\n"
+            "import brinkman2d, brinkman2d.cli\n"
+            "code = brinkman2d.cli.main(['solve', sys.argv[1], '--out', sys.argv[2], '--quiet'])\n"
+            "loaded = [m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules]\n"
+            "import scipy.sparse as sp\n"
+            "x = brinkman2d.direct_solve(sp.diags([2.0, 4.0]).tocsr(), [1.0, 1.0])\n"
+            "print(json.dumps([code, loaded, x.tolist()]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+                             env=env, capture_output=True, text=True, timeout=120, check=True)
+        code, loaded, x = json.loads(run.stdout)
+        assert code == 0
+        assert loaded == []
+        assert x == [0.5, 0.25]
+        assert (tmp_path / "out" / "report.csv").exists()
 
     def test_solution_field_headers(self, tmp_path):
         out = tmp_path / "out"
@@ -347,6 +380,19 @@ class TestVerifyCommand:
         )
         assert main(["verify", cfg]) == 1
         assert "divergence: FAIL" in capsys.readouterr().out
+
+    def test_zero_wall_data_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("verify solved a system with zero wall data")
+
+        monkeypatch.setattr(brinkman2d.analysis, "direct_solve", no_solve)
+        monkeypatch.setattr(brinkman2d.cli, "gmres_solve", no_solve)
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, VERIFY_CFG.format(out=out) + "bc.gx = 0.0\nbc.gy = 0.0\n")
+        assert main(["verify", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "'bc.gx'" in err and "bc.gy" in err
+        assert not out.exists()
 
 
 class TestGenFieldCommand:
