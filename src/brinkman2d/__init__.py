@@ -16,7 +16,6 @@ from .analysis import (
     manufactured_run,
     sweep_darcy,
     write_regime_csv,
-    write_spectrum_csv,
 )
 from .config import ConfigError, RunConfig, parse_config, write_config
 from .discretization import (
@@ -28,11 +27,9 @@ from .discretization import (
     assemble_gradient,
     assemble_laplacian,
     assemble_monolithic,
-    export_matrix,
     laplacian_boundary_term,
-    load_matrix,
 )
-from .grid import DofIndex, DofKind, StaggeredGrid, build_grid, dof_index, dof_of
+from .grid import StaggeredGrid, build_grid
 from .media import (
     FieldFormatError,
     InvalidFieldError,
@@ -41,7 +38,6 @@ from .media import (
     generate_contrast_field,
     load_field,
     normalize,
-    uniform_field,
     uniform_kstar,
     write_field,
 )

@@ -44,6 +44,10 @@ DENSE_DECOMP_LIMIT = 3000
 NULLSPACE_TOL = 1e-10
 #: sigma_min below this fraction of sigma_max flags numerical singularity.
 SINGULAR_RTOL = 1e-14
+#: anna of the heterogeneous system compared with the pure-drag Darcy model.
+DARCY_LIMIT_ANNA = 1e-8
+#: anna of the uniform-K* system compared with the drag-free Stokes model.
+STOKES_LIMIT_ANNA = 1e4
 
 
 class UnsupportedSizeError(ValueError):
@@ -250,13 +254,12 @@ def sweep_darcy(
     bc: BoundaryData,
     config: SolverConfig,
     pin_pressure: bool = False,
-    compute_kappa: bool = True,
 ) -> RegimeTable:
     """GMRES behavior across a Darcy-number sweep with one fixed field.
 
     Each point assembles the system at anna = viscosity_ratio * da and
-    solves it; kappa (when requested and the size permits) is measured
-    on the pressure-pinned matrix.  A non-converged point is recorded
+    solves it; kappa (when the size permits) is measured on the
+    pressure-pinned matrix.  A non-converged point is recorded
     and the sweep continues.
     """
     da = check_da_values(da_values)
@@ -271,7 +274,7 @@ def sweep_darcy(
 
         kappa: float | None = None
         kappa_flag = "omitted"
-        if compute_kappa and grid.n_total <= DENSE_DECOMP_LIMIT:
+        if grid.n_total <= DENSE_DECOMP_LIMIT:
             pinned = system if pin_pressure else assemble_monolithic(
                 grid, kstar, anna, bc, pin_pressure=True
             )
@@ -322,13 +325,6 @@ def write_regime_csv(table: RegimeTable, path, timings: bool = True) -> None:
             f"{row.da:.5e},{row.anna:.5e},{kappa},{row.kappa_flag},"
             f"{row.iterations},{row.final_relres:.5e},{row.regime.value},{wall_ms:.5e}"
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_spectrum_csv(eigenvalues, path) -> None:
-    lines = ["re,im"]
-    for lam in np.asarray(eigenvalues):
-        lines.append(f"{lam.real:.5e},{lam.imag:.5e}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -439,36 +435,33 @@ def limit_checks(
     grid: StaggeredGrid,
     field_: PermeabilityField,
     bc: BoundaryData,
-    darcy_anna: float = 1e-8,
-    stokes_anna: float = 1e4,
-    stokes_bc: BoundaryData | None = None,
 ) -> LimitCheckReport:
     """Consistency with the two limiting models.
 
-    Darcy: the heterogeneous system at a vanishing anna against the
-    anna = 0 assembly (pure drag; the viscous wall coupling drops out),
-    compared on interior velocity DOFs.  Stokes: the uniform-K* system
-    at a large anna against the same assembly with the drag block
-    removed.  Both use pinned direct solves.  ``stokes_bc`` lets the
-    Stokes comparison run under tangential (e.g. lid-driven) data, which
-    exercises it more than a uniform through-flow does; it defaults to
-    ``bc``.  Raises ``ValueError`` when a reference flow is identically
-    zero (zero wall data), since the relative difference is then 0/0.
+    Darcy: the heterogeneous system under ``bc`` at anna =
+    ``DARCY_LIMIT_ANNA`` against the anna = 0 assembly (pure drag; the
+    viscous wall coupling drops out), compared on interior velocity DOFs.
+    Stokes: the uniform-K* system at anna = ``STOKES_LIMIT_ANNA`` against
+    the same assembly with the drag block removed, both under lid-driven
+    data, which exercises the comparison more than a uniform through-flow
+    does.  All four are pinned direct solves.  Raises ``ValueError`` when
+    the Darcy reference flow is identically zero (zero ``bc``), since the
+    relative difference is then 0/0.
     """
     interior = ~boundary_velocity_mask(grid)
 
     kstar = normalize(field_)
-    full = assemble_monolithic(grid, kstar, darcy_anna, bc, pin_pressure=True)
+    full = assemble_monolithic(grid, kstar, DARCY_LIMIT_ANNA, bc, pin_pressure=True)
     oracle = assemble_monolithic(grid, kstar, 0.0, bc, pin_pressure=True)
     x_full = direct_solve(full.matrix, full.rhs)[: grid.n_velocity][interior]
     x_oracle = direct_solve(oracle.matrix, oracle.rhs)[: grid.n_velocity][interior]
     darcy_rel = _relative_difference(x_full, x_oracle, "Darcy")
 
     ones = uniform_kstar(grid)
-    sbc = bc if stokes_bc is None else stokes_bc
-    full_s = assemble_monolithic(grid, ones, stokes_anna, sbc, pin_pressure=True)
+    lid = BoundaryData.lid_driven(grid)
+    full_s = assemble_monolithic(grid, ones, STOKES_LIMIT_ANNA, lid, pin_pressure=True)
     oracle_s = assemble_monolithic(
-        grid, ones, stokes_anna, sbc, pin_pressure=True, include_drag=False
+        grid, ones, STOKES_LIMIT_ANNA, lid, pin_pressure=True, include_drag=False
     )
     u_full = direct_solve(full_s.matrix, full_s.rhs)[: grid.n_velocity]
     u_oracle = direct_solve(oracle_s.matrix, oracle_s.rhs)[: grid.n_velocity]

@@ -122,6 +122,8 @@ class RunConfig:
                               ("field.contrast_y", self.contrast_y)):
             if not (np.isfinite(contrast) and contrast >= 1.0):
                 raise ConfigError(key, f"must be finite and >= 1, got {contrast}")
+        if self.seed < 0:
+            raise ConfigError("field.seed", f"must be >= 0, got {self.seed}")
         for key, value in (("bc.gx", self.gx), ("bc.gy", self.gy)):
             if not np.isfinite(value):
                 raise ConfigError(key, f"must be a finite number, got {value}")

@@ -21,12 +21,11 @@ the data part is returned as a separate boundary-contribution vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import atomic_write_text
 from .grid import StaggeredGrid, boundary_velocity_mask
 from .media import InvalidFieldError, NormalizedPermeability
 
@@ -142,14 +141,12 @@ class ForcingField:
 
 @dataclass
 class MonolithicSystem:
-    """Assembled saddle-point matrix, right-hand side, and bookkeeping."""
+    """Assembled saddle-point matrix, right-hand side, and the warnings
+    raised while assembling them."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    anna: float
-    grid: StaggeredGrid
-    pinned_pressure: bool
-    meta: dict = field(default_factory=dict)
+    warnings: list[str]
 
 
 def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
@@ -381,38 +378,12 @@ def assemble_monolithic(
     rhs = np.zeros(grid.n_total)
     rhs[:nv] = np.where(fixed[:nv], g, source)
 
-    meta: dict = {"warnings": [], "include_drag": include_drag}
+    warnings = []
     flux = bc.net_flux(grid)
     scale = max(1.0, float(np.abs(g).max()))
     if not pin_pressure and abs(flux) > COMPATIBILITY_TOL * scale:
-        meta["warnings"].append(
+        warnings.append(
             f"boundary data has net flux {flux:.3e}; the unpinned system is "
             "singular and solvable only for compatible right-hand sides"
         )
-    return MonolithicSystem(matrix, rhs, float(anna), grid, bool(pin_pressure), meta)
-
-
-def export_matrix(matrix, path) -> None:
-    """Dump a sparse matrix as text: header ``n_rows n_cols nnz``, then
-    one zero-based ``row col value`` triple per line."""
-    coo = sp.coo_matrix(matrix)
-    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    order = np.lexsort((coo.col, coo.row))
-    lines.extend(
-        f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}" for k in order
-    )
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_matrix(path) -> sp.csr_matrix:
-    """Read back a matrix written by :func:`export_matrix`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        n_rows, n_cols, nnz = (int(x) for x in header)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        for k in range(nnz):
-            r, c, v = fh.readline().split()
-            rows[k], cols[k], vals[k] = int(r), int(c), float(v)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+    return MonolithicSystem(matrix, rhs, warnings)

@@ -10,53 +10,29 @@ assembled.  The global vector is ordered in contiguous blocks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
 
-class DofKind(Enum):
-    U_FACE = "u"
-    V_FACE = "v"
-    PRESSURE = "p"
-
-
-class DofIndex(NamedTuple):
-    kind: DofKind
-    i: int
-    j: int
-    global_index: int
-
-
 @dataclass(frozen=True)
 class StaggeredGrid:
-    """Uniform MAC grid covering the rectangle (0, lx) x (0, ly).
-
-    Attributes
-    ----------
-    nx, ny : number of cells per direction (>= 1).
-    lx, ly : domain extents (dimensionless; the unit square uses 1, 1).
-    """
+    """Uniform MAC grid with nx-by-ny cells (each >= 1) on the unit
+    square, the non-dimensional domain of the model."""
 
     nx: int
     ny: int
-    lx: float = 1.0
-    ly: float = 1.0
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"cell counts must be >= 1, got nx={self.nx}, ny={self.ny}")
-        if not (self.lx > 0.0 and self.ly > 0.0):
-            raise ValueError(f"domain extents must be positive, got lx={self.lx}, ly={self.ly}")
 
     @property
     def dx(self) -> float:
-        return self.lx / self.nx
+        return 1.0 / self.nx
 
     @property
     def dy(self) -> float:
-        return self.ly / self.ny
+        return 1.0 / self.ny
 
     @property
     def n_u(self) -> int:
@@ -80,7 +56,7 @@ class StaggeredGrid:
     def n_total(self) -> int:
         return self.n_u + self.n_v + self.n_p
 
-    # Unchecked index maps; dof_index() is the validating entry point.
+    # Index maps, vectorised over i and j and unchecked.
     def u_index(self, i, j):
         return j * (self.nx + 1) + i
 
@@ -112,55 +88,9 @@ class StaggeredGrid:
         return (ii.ravel() + 0.5) * self.dx, (jj.ravel() + 0.5) * self.dy
 
 
-def build_grid(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> StaggeredGrid:
+def build_grid(nx: int, ny: int) -> StaggeredGrid:
     """Build a uniform staggered grid with nx-by-ny cells."""
-    return StaggeredGrid(int(nx), int(ny), float(lx), float(ly))
-
-
-def _check_bounds(grid: StaggeredGrid, kind: DofKind, i: int, j: int) -> None:
-    if kind is DofKind.U_FACE:
-        ok = 0 <= i <= grid.nx and 0 <= j < grid.ny
-    elif kind is DofKind.V_FACE:
-        ok = 0 <= i < grid.nx and 0 <= j <= grid.ny
-    else:
-        ok = 0 <= i < grid.nx and 0 <= j < grid.ny
-    if not ok:
-        raise IndexError(f"{kind.name} index (i={i}, j={j}) out of bounds for {grid.nx}x{grid.ny} grid")
-
-
-def dof_index(grid: StaggeredGrid, kind: DofKind, i: int, j: int) -> int:
-    """Map (kind, i, j) to its global index in the monolithic vector."""
-    _check_bounds(grid, kind, i, j)
-    if kind is DofKind.U_FACE:
-        return grid.u_index(i, j)
-    if kind is DofKind.V_FACE:
-        return grid.v_index(i, j)
-    return grid.p_index(i, j)
-
-
-def dof_of(grid: StaggeredGrid, global_index: int) -> DofIndex:
-    """Inverse of :func:`dof_index`."""
-    g = int(global_index)
-    if not 0 <= g < grid.n_total:
-        raise IndexError(f"global index {g} out of range [0, {grid.n_total})")
-    if g < grid.n_u:
-        j, i = divmod(g, grid.nx + 1)
-        return DofIndex(DofKind.U_FACE, i, j, g)
-    if g < grid.n_u + grid.n_v:
-        j, i = divmod(g - grid.n_u, grid.nx)
-        return DofIndex(DofKind.V_FACE, i, j, g)
-    j, i = divmod(g - grid.n_u - grid.n_v, grid.nx)
-    return DofIndex(DofKind.PRESSURE, i, j, g)
-
-
-def is_boundary_velocity(grid: StaggeredGrid, kind: DofKind, i: int, j: int) -> bool:
-    """True for velocity faces lying on the domain boundary (normal direction)."""
-    _check_bounds(grid, kind, i, j)
-    if kind is DofKind.U_FACE:
-        return i == 0 or i == grid.nx
-    if kind is DofKind.V_FACE:
-        return j == 0 or j == grid.ny
-    return False
+    return StaggeredGrid(int(nx), int(ny))
 
 
 def boundary_velocity_mask(grid: StaggeredGrid) -> np.ndarray:

@@ -20,7 +20,8 @@ PATTERNS = ("layered", "checkerboard", "lognormal")
 
 
 class InvalidFieldError(ValueError):
-    """Permeability entries are non-positive or non-finite."""
+    """Permeability entries are non-positive or non-finite, or the grid is
+    too small to realize the requested contrast."""
 
 
 class FieldFormatError(ValueError):
@@ -79,12 +80,6 @@ def normalize(field: PermeabilityField) -> NormalizedPermeability:
     return NormalizedPermeability(field.kxx / kmax, field.kyy / kmax, kmax)
 
 
-def uniform_field(grid: StaggeredGrid, value: float = 1.0) -> PermeabilityField:
-    """Homogeneous isotropic field with the given permeability."""
-    k = np.full(grid.n_p, float(value))
-    return PermeabilityField(k, k.copy())
-
-
 def uniform_kstar(grid: StaggeredGrid) -> NormalizedPermeability:
     """Normalized field with K* identically 1."""
     ones = np.ones(grid.n_p)
@@ -127,7 +122,7 @@ def generate_contrast_field(
         if contrast == 1.0:
             return np.ones(grid.n_p)
         if not (mask_high.any() and (~mask_high).any()):
-            raise ValueError(f"grid too small to realize contrast {contrast} in {axis}")
+            raise InvalidFieldError(f"grid too small to realize contrast {contrast} in {axis}")
         return np.where(mask_high, contrast, 1.0)
 
     if pattern == "layered":
@@ -147,7 +142,7 @@ def _graded_bands(n_bands: int, contrast: float, axis: str) -> np.ndarray:
     if contrast == 1.0:
         return np.ones(n_bands)
     if n_bands < 2:
-        raise ValueError(f"grid too small to realize contrast {contrast} in {axis}")
+        raise InvalidFieldError(f"grid too small to realize contrast {contrast} in {axis}")
     t = np.linspace(1.0, 0.0, n_bands)
     vals = np.exp(np.log(contrast) * t)
     vals[0] = contrast  # pin the extremes: contrast is exact
@@ -160,7 +155,7 @@ def _log_rescaled(z: np.ndarray, contrast: float, axis: str) -> np.ndarray:
         return np.ones(z.size)
     span = z.max() - z.min()
     if span == 0.0:
-        raise ValueError(f"grid too small to realize contrast {contrast} in {axis}")
+        raise InvalidFieldError(f"grid too small to realize contrast {contrast} in {axis}")
     t = (z - z.min()) / span
     k = np.exp(np.log(contrast) * t)
     k[np.argmax(k)] = contrast

@@ -54,8 +54,8 @@ class Regime(Enum):
     STOKES = "stokes"
 
 
-#: Default classification thresholds; the physical transition sits near
-#: anna = 1, the decade margins on either side are an artifact choice.
+#: Regime bounds in anna; the physical transition sits near anna = 1,
+#: the two-decade margins on either side are an artifact choice.
 DEFAULT_A_LOW = 1e-2
 DEFAULT_A_HIGH = 1e2
 
@@ -72,21 +72,13 @@ def dimensionless_groups(scales: ReferenceScales) -> DimensionlessGroups:
     )
 
 
-def classify_regime(
-    groups: DimensionlessGroups | float,
-    a_low: float = DEFAULT_A_LOW,
-    a_high: float = DEFAULT_A_HIGH,
-) -> Regime:
-    """Classify the flow regime from the control number.
-
-    Accepts either a :class:`DimensionlessGroups` or a bare ``anna`` value.
-    """
-    if not a_low < a_high:
-        raise ValueError(f"thresholds must satisfy a_low < a_high, got {a_low}, {a_high}")
-    anna = groups.anna if isinstance(groups, DimensionlessGroups) else float(groups)
-    if anna < a_low:
+def classify_regime(anna: float) -> Regime:
+    """The flow regime of a control number: darcy below ``DEFAULT_A_LOW``,
+    stokes above ``DEFAULT_A_HIGH``, brinkman between them, bounds
+    included."""
+    if anna < DEFAULT_A_LOW:
         return Regime.DARCY
-    if anna > a_high:
+    if anna > DEFAULT_A_HIGH:
         return Regime.STOKES
     return Regime.BRINKMAN
 

@@ -22,5 +22,4 @@ def regime_sweep():
     field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
     bc = BoundaryData.uniform(grid, 1.0, 0.0)
     config = SolverConfig(tol=1e-6, maxit=1240)
-    return sweep_darcy(grid, field, SWEEP_DA, 1.0, bc, config,
-                       pin_pressure=False, compute_kappa=True)
+    return sweep_darcy(grid, field, SWEEP_DA, 1.0, bc, config, pin_pressure=False)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import brinkman2d.analysis as analysis
 from brinkman2d import (
     BoundaryData,
     SolverConfig,
@@ -22,7 +23,6 @@ from brinkman2d import (
     sweep_darcy,
     uniform_kstar,
     write_regime_csv,
-    write_spectrum_csv,
 )
 from brinkman2d.analysis import (
     mms_forcing,
@@ -234,9 +234,11 @@ class TestSweep:
         pinned = assemble_monolithic(grid, normalize(field), 1.0, bc, pin_pressure=True)
         assert row.kappa == pytest.approx(condition_number(pinned.matrix).kappa, rel=1e-10)
 
-    def test_kappa_can_be_omitted(self):
+    def test_kappa_can_be_omitted(self, monkeypatch):
+        # a system larger than the decomposition limit gets no kappa
         grid, field, bc = self.small_setup()
-        table = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig(), compute_kappa=False)
+        monkeypatch.setattr(analysis, "DENSE_DECOMP_LIMIT", grid.n_total - 1)
+        table = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
         assert table.rows[0].kappa is None
         assert table.rows[0].kappa_flag == "omitted"
 
@@ -301,25 +303,17 @@ class TestCsvOutput:
         write_regime_csv(table, path, timings=False)
         assert path.read_text().splitlines() == lines  # rewrite is reproducible
 
-    def test_regime_csv_omitted_kappa_blank(self, tmp_path):
+    def test_regime_csv_omitted_kappa_blank(self, tmp_path, monkeypatch):
         grid = build_grid(6, 6)
         field = generate_contrast_field(grid, 10.0, 10.0, "layered", 0)
         bc = BoundaryData.uniform(grid, 1.0, 0.0)
-        table = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig(),
-                            compute_kappa=False)
+        monkeypatch.setattr(analysis, "DENSE_DECOMP_LIMIT", grid.n_total - 1)
+        table = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
         path = tmp_path / "table.csv"
         write_regime_csv(table, path)
         row = path.read_text().splitlines()[1].split(",")
         assert row[2] == ""
         assert row[3] == "omitted"
-
-    def test_spectrum_csv(self, tmp_path):
-        path = tmp_path / "spec.csv"
-        write_spectrum_csv(np.array([1.0 + 2.0j, -3.0]), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "re,im"
-        assert lines[1] == "1.00000e+00,2.00000e+00"
-        assert lines[2] == "-3.00000e+00,0.00000e+00"
 
 
 class TestManufacturedSolution:
@@ -388,8 +382,7 @@ class TestLimits:
         grid = build_grid(8, 8)
         field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
         bc = BoundaryData.uniform(grid, 1.0, 0.0)
-        report = limit_checks(grid, field, bc,
-                              stokes_bc=BoundaryData.lid_driven(grid))
+        report = limit_checks(grid, field, bc)
         assert report.darcy_rel_diff <= 1e-3
         assert report.stokes_rel_diff <= 1e-3
         assert report.stokes_rel_diff > 0.0  # lid flow actually exercises the drag

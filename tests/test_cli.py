@@ -499,3 +499,45 @@ class TestErrorPaths:
             f"grid.nx = 2\ngrid.ny = 2\nanna = 1.0\nfield.path = {tmp_path}/nope.txt\n",
         )
         assert main(["solve", cfg]) == 2
+
+    @pytest.mark.parametrize("fix, cause", [
+        ({"field.pattern": "lognormal", "field.seed": "-1"}, "'field.seed'"),
+        ({"grid.nx": "1", "field.contrast_y": "10"}, "grid too small to realize contrast"),
+        ({"grid.nx": "1", "grid.ny": "1", "field.pattern": "checkerboard",
+          "field.contrast_x": "10", "field.contrast_y": "10"},
+         "grid too small to realize contrast"),
+    ], ids=["negative-seed", "layered-one-column", "checkerboard-1x1"])
+    def test_bad_field_config_exits_2(self, tmp_path, capsys, fix, cause):
+        text = UNIFORM_SOLVE.format(out=tmp_path / "out") + "sweep.da = 1.0\n"
+        lines = [line for line in text.splitlines() if line.split(" =")[0] not in fix]
+        cfg = write_cfg(tmp_path, "\n".join(lines + [f"{k} = {v}" for k, v in fix.items()]))
+        for command in ("solve", "sweep", "gen-field"):
+            assert main([command, cfg, "--quiet"]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and cause in err, (command, err)
+        assert not (tmp_path / "out").exists()
+
+
+class TestModuleEntryPoint:
+    """``python -m brinkman2d``, the entry a shell or a benchmark runs."""
+
+    def run(self, tmp_path, text):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        cfg = write_cfg(tmp_path, text)
+        return subprocess.run([sys.executable, "-m", "brinkman2d", "solve", cfg, "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_small_solve_exits_0(self, tmp_path):
+        out = tmp_path / "out"
+        text = UNIFORM_SOLVE.format(out=out).replace("grid.nx = 8\ngrid.ny = 8",
+                                                      "grid.nx = 4\ngrid.ny = 4")
+        run = self.run(tmp_path, text)
+        assert run.returncode == 0, run.stderr
+        assert (out / "report.csv").read_text().splitlines()[1].split(",")[2] == "true"
+
+    def test_unknown_key_exits_2(self, tmp_path):
+        run = self.run(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "out") + "solver.magic = 3\n")
+        assert run.returncode == 2
+        assert "'solver.magic'" in run.stderr
+        assert not (tmp_path / "out").exists()

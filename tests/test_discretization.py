@@ -14,10 +14,8 @@ from brinkman2d import (
     assemble_monolithic,
     build_grid,
     direct_solve,
-    export_matrix,
     generate_contrast_field,
     laplacian_boundary_term,
-    load_matrix,
     normalize,
     uniform_kstar,
 )
@@ -289,13 +287,13 @@ class TestMonolithic:
             v_left=np.zeros(ny + 1), v_right=np.zeros(ny + 1),
         )
         unpinned = assemble_monolithic(grid, uniform_kstar(grid), 1.0, leaky)
-        assert unpinned.meta["warnings"]
+        assert unpinned.warnings
         pinned = assemble_monolithic(grid, uniform_kstar(grid), 1.0, leaky, pin_pressure=True)
-        assert not pinned.meta["warnings"]
+        assert not pinned.warnings
         balanced = assemble_monolithic(
             grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0)
         )
-        assert not balanced.meta["warnings"]
+        assert not balanced.warnings
 
     def test_forcing_enters_interior_rhs(self):
         grid = build_grid(3, 3)
@@ -327,7 +325,7 @@ def coo_reference_assembly(grid, kstar, anna, bc, forcing=None, pin_pressure=Fal
                            include_drag=True):
     """Triplet-level assembly of the monolithic system: the blocks' COO
     triplets concatenated, boundary rows filtered out and replaced by
-    identity rows, then the pin row.  Returns ``(matrix, rhs, meta)``."""
+    identity rows, then the pin row.  Returns ``(matrix, rhs, warnings)``."""
     nv, n = grid.n_velocity, grid.n_total
     if forcing is None:
         forcing = ForcingField.zero(grid)
@@ -375,15 +373,15 @@ def coo_reference_assembly(grid, kstar, anna, bc, forcing=None, pin_pressure=Fal
     matrix.sum_duplicates()
     matrix.sort_indices()
 
-    meta: dict = {"warnings": [], "include_drag": include_drag}
+    warnings = []
     flux = bc.net_flux(grid)
     scale = max(1.0, float(np.abs(g).max()))
     if not pin_pressure and abs(flux) > COMPATIBILITY_TOL * scale:
-        meta["warnings"].append(
+        warnings.append(
             f"boundary data has net flux {flux:.3e}; the unpinned system is "
             "singular and solvable only for compatible right-hand sides"
         )
-    return matrix, rhs, meta
+    return matrix, rhs, warnings
 
 
 REFERENCE_GRIDS = ((1, 1), (1, 3), (3, 1), (2, 2), (4, 3), (8, 8), (13, 7), (20, 20))
@@ -423,25 +421,13 @@ def test_block_assembly_matches_coo_reference_bit_for_bit(nx, ny):
                     bc, forcing = data[cases % len(data)]  # each data set in turn
                     system = assemble_monolithic(grid, kstar, anna, bc, forcing=forcing,
                                                  pin_pressure=pin, include_drag=include_drag)
-                    matrix, rhs, meta = coo_reference_assembly(
+                    matrix, rhs, warnings = coo_reference_assembly(
                         grid, kstar, anna, bc, forcing, pin, include_drag)
                     got = system.matrix
                     for name in ("indptr", "indices", "data"):
                         assert getattr(got, name).tobytes() == getattr(matrix, name).tobytes(), name
                     assert system.rhs.tobytes() == rhs.tobytes()
-                    assert repr(system.meta) == repr(meta)
+                    assert system.warnings == warnings
                     cases += 1
     assert cases >= 22
 
-
-def test_matrix_export_round_trip(tmp_path):
-    grid = build_grid(3, 2)
-    system = assemble_monolithic(
-        grid, uniform_kstar(grid), 2.0, BoundaryData.uniform(grid, 1.0, 0.0)
-    )
-    path = tmp_path / "matrix.txt"
-    export_matrix(system.matrix, path)
-    header = path.read_text().splitlines()[0].split()
-    assert [int(v) for v in header] == [grid.n_total, grid.n_total, system.matrix.nnz]
-    back = load_matrix(path)
-    assert abs(back - system.matrix).max() == 0.0

@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from brinkman2d import DofKind, build_grid, dof_index, dof_of
-from brinkman2d.grid import boundary_velocity_mask, is_boundary_velocity
+from brinkman2d import build_grid
+from brinkman2d.grid import boundary_velocity_mask
 
 
 def enumerate_counts(nx, ny):
@@ -15,17 +16,17 @@ def enumerate_counts(nx, ny):
 
 
 def test_paper_system_size():
-    grid = build_grid(20, 20, 1, 1)
+    grid = build_grid(20, 20)
     assert grid.n_total == 1240
 
 
 def test_smallest_grid_counts():
-    grid = build_grid(1, 1, 1, 1)
+    grid = build_grid(1, 1)
     assert (grid.n_u, grid.n_v, grid.n_p, grid.n_total) == (2, 2, 1, 5)
 
 
 def test_counts_match_enumeration():
-    grid = build_grid(2, 3, 1, 1)
+    grid = build_grid(2, 3)
     assert enumerate_counts(2, 3) == (9, 8, 6)
     assert (grid.n_u, grid.n_v, grid.n_p, grid.n_total) == (9, 8, 6, 23)
 
@@ -40,81 +41,48 @@ def test_count_formula(nx, ny):
 
 def test_block_ordering_on_unit_grid():
     grid = build_grid(1, 1)
-    assert dof_index(grid, DofKind.U_FACE, 0, 0) == 0
-    assert dof_index(grid, DofKind.PRESSURE, 0, 0) == 4
-
-
-def all_dofs(grid):
-    for j in range(grid.ny):
-        for i in range(grid.nx + 1):
-            yield DofKind.U_FACE, i, j
-    for j in range(grid.ny + 1):
-        for i in range(grid.nx):
-            yield DofKind.V_FACE, i, j
-    for j in range(grid.ny):
-        for i in range(grid.nx):
-            yield DofKind.PRESSURE, i, j
-
-
-def test_round_trip_is_bijective():
-    grid = build_grid(3, 2)
-    seen = []
-    for kind, i, j in all_dofs(grid):
-        g = dof_index(grid, kind, i, j)
-        back = dof_of(grid, g)
-        assert (back.kind, back.i, back.j, back.global_index) == (kind, i, j, g)
-        seen.append(g)
-    assert sorted(seen) == list(range(grid.n_total))
+    assert grid.u_index(0, 0) == 0
+    assert grid.p_index(0, 0) == 4
 
 
 def test_row_major_j_outer_ordering():
-    grid = build_grid(4, 3)
-    for kind in DofKind:
-        indices = [dof_index(grid, k, i, j) for k, i, j in all_dofs(grid) if k is kind]
-        assert indices == sorted(indices)
-        assert len(set(indices)) == len(indices)
+    """u over (j outer, i), then v, then p, concatenated, is 0..n_total-1."""
+    for nx, ny in [(1, 1), (4, 3), (2, 5)]:
+        grid = build_grid(nx, ny)
+        order = (
+            [grid.u_index(i, j) for j in range(ny) for i in range(nx + 1)]
+            + [grid.v_index(i, j) for j in range(ny + 1) for i in range(nx)]
+            + [grid.p_index(i, j) for j in range(ny) for i in range(nx)]
+        )
+        np.testing.assert_array_equal(order, np.arange(grid.n_total))
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (5, 5), (20, 20)])
 def test_boundary_velocity_classification(nx, ny):
     grid = build_grid(nx, ny)
-    count = 0
-    for kind, i, j in all_dofs(grid):
-        if kind is DofKind.PRESSURE:
-            assert not is_boundary_velocity(grid, kind, i, j)
-            continue
-        expected = i in (0, nx) if kind is DofKind.U_FACE else j in (0, ny)
-        assert is_boundary_velocity(grid, kind, i, j) == expected
-        count += expected
-    assert count == 2 * nx + 2 * ny
-    assert boundary_velocity_mask(grid).sum() == 2 * nx + 2 * ny
+    mask = boundary_velocity_mask(grid)
+    assert mask.shape == (grid.n_velocity,)
+    for j in range(ny):
+        for i in range(nx + 1):
+            assert mask[grid.u_index(i, j)] == (i in (0, nx))
+    for j in range(ny + 1):
+        for i in range(nx):
+            assert mask[grid.v_index(i, j)] == (j in (0, ny))
+    assert mask.sum() == 2 * nx + 2 * ny
 
 
 def test_spacing_and_coords():
-    grid = build_grid(4, 2, 2.0, 1.0)
-    assert grid.dx == 0.5
+    grid = build_grid(4, 2)
+    assert grid.dx == 0.25
     assert grid.dy == 0.5
     xu, yu = grid.u_coords()
     assert xu[0] == 0.0 and yu[0] == 0.25
+    assert xu[grid.nx] == 1.0  # the unit square
     xp, yp = grid.p_coords()
-    assert xp[0] == 0.25 and yp[0] == 0.25
+    assert xp[0] == 0.125 and yp[0] == 0.25
 
 
-@pytest.mark.parametrize("nx,ny,lx,ly", [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, -2)])
-def test_invalid_dimensions_rejected(nx, ny, lx, ly):
+@pytest.mark.parametrize("nx,ny", [(0, 1), (1, 0)])
+def test_invalid_dimensions_rejected(nx, ny):
     with pytest.raises(ValueError):
-        build_grid(nx, ny, lx, ly)
-
-
-def test_out_of_bounds_indices_rejected():
-    grid = build_grid(3, 2)
-    with pytest.raises(IndexError):
-        dof_index(grid, DofKind.U_FACE, 4, 0)
-    with pytest.raises(IndexError):
-        dof_index(grid, DofKind.V_FACE, 3, 0)
-    with pytest.raises(IndexError):
-        dof_index(grid, DofKind.PRESSURE, 0, 2)
-    with pytest.raises(IndexError):
-        dof_of(grid, -1)
-    with pytest.raises(IndexError):
-        dof_of(grid, grid.n_total)
+        build_grid(nx, ny)

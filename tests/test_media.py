@@ -9,14 +9,13 @@ from brinkman2d import (
     generate_contrast_field,
     load_field,
     normalize,
-    uniform_field,
     write_field,
 )
 
 
 def test_normalize_uniform_field():
-    grid = build_grid(3, 3)
-    norm = normalize(uniform_field(grid, 5.0))
+    k = np.full(9, 5.0)
+    norm = normalize(PermeabilityField(k, k.copy()))
     assert np.all(norm.kstar_xx == 1.0)
     assert np.all(norm.kstar_yy == 1.0)
     assert norm.kmax == 5.0
@@ -101,7 +100,7 @@ def test_generator_argument_errors():
         generate_contrast_field(grid, 0.5, 1.0, "layered", 0)
     with pytest.raises(ValueError):
         generate_contrast_field(grid, 10.0, 10.0, "swirl", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidFieldError, match="grid too small"):
         # a single row cannot carry an x-contrast
         generate_contrast_field(build_grid(3, 1), 10.0, 1.0, "layered", 0)
 
