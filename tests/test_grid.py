@@ -45,6 +45,34 @@ def test_block_ordering_on_unit_grid():
     assert grid.p_index(0, 0) == 4
 
 
+def test_round_trip_is_bijective():
+    """Each (i, j) lands on its own global slot, the slots cover
+    0..n_total-1, and the slot's coordinates give back (i, j)."""
+    grid = build_grid(3, 2)
+    xu, yu = grid.u_coords()
+    xv, yv = grid.v_coords()
+    xp, yp = grid.p_coords()
+    seen = []
+    for j in range(grid.ny):
+        for i in range(grid.nx + 1):
+            g = grid.u_index(i, j)
+            assert (round(xu[g] / grid.dx), round(yu[g] / grid.dy - 0.5)) == (i, j)
+            seen.append(g)
+    for j in range(grid.ny + 1):
+        for i in range(grid.nx):
+            g = grid.v_index(i, j)
+            k = g - grid.n_u
+            assert (round(xv[k] / grid.dx - 0.5), round(yv[k] / grid.dy)) == (i, j)
+            seen.append(g)
+    for j in range(grid.ny):
+        for i in range(grid.nx):
+            g = grid.p_index(i, j)
+            k = g - grid.n_velocity
+            assert (round(xp[k] / grid.dx - 0.5), round(yp[k] / grid.dy - 0.5)) == (i, j)
+            seen.append(g)
+    assert sorted(seen) == list(range(grid.n_total))
+
+
 def test_row_major_j_outer_ordering():
     """u over (j outer, i), then v, then p, concatenated, is 0..n_total-1."""
     for nx, ny in [(1, 1), (4, 3), (2, 5)]:
