@@ -9,6 +9,11 @@ import numpy as np
 import scipy.sparse as sp
 
 
+class NumericOverflowError(ValueError):
+    """Finite inputs whose scale overflows double precision; the message
+    names the quantity that did."""
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file and rename, so readers never see a torn file."""
     path = os.fspath(path)

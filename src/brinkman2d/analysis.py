@@ -261,10 +261,19 @@ def sweep_darcy(
     solves it; kappa (when the size permits) is measured on the
     pressure-pinned matrix.  A non-converged point is recorded
     and the sweep continues.
+
+    The sweep runs in two passes.  The first solves every point and keeps
+    only what its row needs; the second measures every kappa.  The first
+    kappa loads SuperLU and ARPACK (~10 MB resident), so with the solves
+    done first that memory never adds to a live Krylov workspace.  A
+    pinned sweep keeps each solved matrix for its kappa; an unpinned one
+    assembles the pinned matrix again in the second pass.
     """
     da = check_da_values(da_values)
     kstar = normalize(field_)
+    with_kappa = grid.n_total <= DENSE_DECOMP_LIMIT
     rows: list[RegimeRow] = []
+    solved = []  # each point's matrix when it is the pinned one kappa needs
     for value in da:
         anna = viscosity_ratio * value
         system = assemble_monolithic(grid, kstar, anna, bc, pin_pressure=pin_pressure)
@@ -272,23 +281,13 @@ def sweep_darcy(
         x, report = gmres_solve(system.matrix, system.rhs, config)
         wall = time.perf_counter() - t0
 
-        kappa: float | None = None
-        kappa_flag = "omitted"
-        if grid.n_total <= DENSE_DECOMP_LIMIT:
-            pinned = system if pin_pressure else assemble_monolithic(
-                grid, kstar, anna, bc, pin_pressure=True
-            )
-            cond = condition_number(pinned.matrix)
-            kappa = cond.kappa
-            kappa_flag = "pinned-singular" if cond.numerically_singular else "pinned"
-
         velocity = x[: grid.n_velocity]
         rows.append(
             RegimeRow(
                 da=value,
                 anna=anna,
-                kappa=kappa,
-                kappa_flag=kappa_flag,
+                kappa=None,
+                kappa_flag="omitted",
                 iterations=report.iterations,
                 final_relres=report.final_relres,
                 converged=report.converged,
@@ -298,6 +297,15 @@ def sweep_darcy(
                 wall_time=wall,
             )
         )
+        solved.append(system.matrix if pin_pressure and with_kappa else None)
+
+    if with_kappa:
+        for row, pinned in zip(rows, solved):
+            if pinned is None:
+                pinned = assemble_monolithic(grid, kstar, row.anna, bc, pin_pressure=True).matrix
+            cond = condition_number(pinned)
+            row.kappa = cond.kappa
+            row.kappa_flag = "pinned-singular" if cond.numerically_singular else "pinned"
 
     metadata = {
         "nx": grid.nx,

@@ -1,7 +1,8 @@
 """Command-line front end: solve / sweep / verify / gen-field.
 
 Exit codes: 0 success, 1 numerical failure (non-convergence or a failing
-verification check), 2 usage or configuration error.
+verification check), 2 usage or configuration error, including finite
+config values whose scale overflows double precision.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from ._util import atomic_write_text
+from ._util import NumericOverflowError, atomic_write_text
 from .config import ConfigError, RunConfig, parse_config, write_config
 from .discretization import BoundaryData, assemble_monolithic
 from .grid import StaggeredGrid, build_grid
@@ -148,15 +149,15 @@ def run_verify(config: RunConfig, quiet: bool = False) -> int:
         # Darcy limit would compare zero with zero
         raise ConfigError("bc.gx", "verify needs nonzero wall data, but bc.gx and bc.gy are both 0")
     results: dict[str, tuple[bool, str]] = {}
-
-    # uniform flow: constant data and uniform K* admit an exact discrete solution
     grid = build_grid(config.nx, config.ny)
     anna = config.effective_anna()
+    kstar = normalize(_field_for(config, grid))  # a field the grid cannot hold fails here
+
+    # uniform flow: constant data and uniform K* admit an exact discrete solution
     err = analysis.uniform_flow_error(grid, anna, config.gx, config.gy)
     results["uniform_flow"] = (err <= 1e-10, f"max error {err:.3e} (<= 1e-10)")
 
     # divergence of a converged iterative solve on the configured problem
-    kstar = normalize(_field_for(config, grid))
     bc = BoundaryData.uniform(grid, config.gx, config.gy)
     system = assemble_monolithic(grid, kstar, anna, bc, pin_pressure=config.pin_pressure)
     xg, report = gmres_solve(system.matrix, system.rhs, config.solver_config())
@@ -247,7 +248,8 @@ def main(argv=None) -> int:
             "gen-field": run_gen_field,
         }
         return dispatch[args.command](config, quiet=args.quiet)
-    except (ConfigError, FieldFormatError, InvalidFieldError, OSError) as exc:
+    except (ConfigError, FieldFormatError, InvalidFieldError, NumericOverflowError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SettingError as exc:  # a setting the solver refused at run time

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._util import NumericOverflowError
 from .grid import StaggeredGrid, boundary_velocity_mask
 from .media import InvalidFieldError, NormalizedPermeability
 
@@ -350,6 +351,8 @@ def assemble_monolithic(
     two together leave no momentum operator and raise ``ValueError``.
     With ``pin_pressure`` the first pressure row is replaced by the
     identity (p_0 = 0), removing the constant-pressure nullspace.
+    Raises :class:`NumericOverflowError` when finite inputs overflow an
+    entry of the matrix or of the rhs.
     """
     if anna < 0.0:
         raise ValueError(f"anna must be >= 0, got {anna}")
@@ -361,7 +364,8 @@ def assemble_monolithic(
         raise ValueError("forcing field sized for a different grid")
 
     nv = grid.n_velocity
-    momentum = (-anna) * assemble_laplacian(grid)
+    with np.errstate(over="ignore"):  # an overflowed entry is named below
+        momentum = (-anna) * assemble_laplacian(grid)
     if include_drag:
         momentum = momentum + assemble_drag(grid, kstar)
     blocks = sp.bmat([[momentum, assemble_gradient(grid)], [assemble_divergence(grid), None]])
@@ -374,9 +378,16 @@ def assemble_monolithic(
     matrix.sort_indices()  # the sparse product and sum do not promise sorted indices
 
     g = boundary_values(grid, bc)
-    source = np.concatenate([forcing.f_u, forcing.f_v]) + anna * laplacian_boundary_term(grid, bc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        source = np.concatenate([forcing.f_u, forcing.f_v]) + anna * laplacian_boundary_term(grid, bc)
     rhs = np.zeros(grid.n_total)
     rhs[:nv] = np.where(fixed[:nv], g, source)
+    if not np.isfinite(matrix.data).all():
+        raise NumericOverflowError(f"anna = {anna:.5e} overflows the matrix in double precision")
+    if not np.isfinite(rhs).all():
+        raise NumericOverflowError(
+            f"the rhs overflows double precision (anna = {anna:.5e}, "
+            f"largest wall value {float(np.abs(g).max()):.5e})")
 
     warnings = []
     flux = bc.net_flux(grid)

@@ -9,7 +9,10 @@ applied to the Hessenberg once, row by row, before the triangle is
 solved by back substitution.  The Hessenberg is stored row-packed, its
 upper triangle and subdiagonal only, in one 1-D array.  The basis and
 that store are allocated once per solve and reused by every restart
-cycle.  The reference path is a sparse LU
+cycle.  The basis comes from ``np.empty``; the packed store lives in an
+anonymous memory mapping of its own, unmapped when the solve returns, so
+it never lands on the malloc heap, where a freed block stays resident.
+The reference path is a sparse LU
 factorization (SuperLU) used as the oracle in verification runs.  Full
 GMRES (restart = maxit) is the default, matching the replication
 setting of the regime study; restarting is exposed for experimentation.
@@ -17,6 +20,8 @@ setting of the regime study; restarting is exposed for experimentation.
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import time
 from dataclasses import dataclass, field
@@ -27,7 +32,7 @@ import scipy.sparse as sp
 # scipy.sparse.linalg (SuperLU, ARPACK: ~10 MB resident) is imported by
 # direct_solve alone, so a GMRES-only process never loads it
 
-from ._util import checked_square_matrix
+from ._util import NumericOverflowError, checked_square_matrix
 
 
 class SingularMatrixError(RuntimeError):
@@ -73,11 +78,12 @@ class SolveReport:
     the returned iterate, and converged means it meets tol.  true_relres
     equals final_relres: GMRES runs unpreconditioned, so the last residual
     it takes is already the true one.  workspace_bytes is the size of the
-    ``(m+1) x n`` Krylov basis plus the packed Hessenberg (``m + m(m+1)/2``
-    doubles) the solve allocated, ``m = min(restart, maxit, n)``; 0 for a
-    zero rhs.  cycles counts the restart cycles run (1 for full GMRES), and
-    breakdown is True when the Arnoldi process broke down, i.e. the last
-    Krylov space was invariant.
+    ``(m+1) x n`` Krylov basis (``np.empty``) plus the packed Hessenberg
+    (``m + m(m+1)/2`` doubles, in its own anonymous mapping) the solve
+    allocated, ``m = min(restart, maxit, n)``; 0 for a zero rhs.  cycles
+    counts the restart cycles run (1 for full GMRES), and breakdown is True
+    when the Arnoldi process broke down, i.e. the last Krylov space was
+    invariant.
     """
 
     iterations: int
@@ -121,6 +127,17 @@ def _check_basis_fits(n: int, m: int) -> None:
         )
 
 
+def _mapped_store(size: int) -> np.ndarray:
+    """``size`` zeroed doubles in an anonymous mapping of their own.
+
+    The mapping is unmapped as soon as the last view of the array goes.
+    An ``np.empty`` block of this size comes from the malloc heap once
+    glibc has raised its mmap threshold (the first freed basis does that),
+    and a freed heap block stays resident under whatever is loaded next.
+    """
+    return np.frombuffer(mmap.mmap(-1, size * 8), dtype=float)
+
+
 def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     """Solve M x = rhs by restarted GMRES from a zero initial guess.
 
@@ -132,6 +149,9 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     packed Hessenberg cannot fit in physical memory (the default
     ``maxit = n`` asks for an ``(n+1) x n`` basis and ``n(n+1)/2 + n``
     Hessenberg entries).  ``SolveReport.workspace_bytes`` gives their size.
+    The packed Hessenberg is mapped for the solve alone and unmapped when
+    it returns.  Raises :class:`NumericOverflowError` when ``||b||`` or
+    some ``||A q||`` overflows double precision.
     """
     cfg = config or SolverConfig()
     A, b = _linear_system(matrix, rhs)
@@ -143,7 +163,10 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     _check_basis_fits(n, m_max)
 
     t0 = time.perf_counter()
-    b_norm = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):  # an overflow raises below, unwarned
+        b_norm = float(np.linalg.norm(b))
+    if not math.isfinite(b_norm):
+        raise NumericOverflowError("the rhs norm ||b|| overflows double precision")
     if b_norm == 0.0:
         x = np.zeros(n)
         return x, SolveReport(iterations=0, converged=True, final_relres=0.0, true_relres=0.0,
@@ -160,7 +183,7 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     Q = np.empty((m_max + 1, n))
     rows = np.arange(m_max + 1)
     base = rows * m_max - rows * (rows - 1) // 2
-    H = np.empty(m_max + m_max * (m_max + 1) // 2)
+    H = _mapped_store(m_max + m_max * (m_max + 1) // 2)
     cs, sn = np.empty(m_max), np.empty(m_max)
     omega = np.empty(m_max + 1)  # last row of the accumulated rotation factor
     x = np.zeros(n)
@@ -186,8 +209,12 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
 
         k_used = 0
         for k in range(m):
-            w = A @ Q[k]
-            w_scale = float(np.linalg.norm(w))
+            with np.errstate(over="ignore"):
+                w = A @ Q[k]
+                w_scale = float(np.linalg.norm(w))
+            if not math.isfinite(w_scale):
+                raise NumericOverflowError("the product norm ||A q|| overflows double "
+                                           f"precision at iteration {total_iters + 1}")
             Qk = Q[: k + 1]
             h = Qk @ w  # classical Gram-Schmidt, run twice (CGS2)
             w -= h @ Qk

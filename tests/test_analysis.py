@@ -33,6 +33,23 @@ from brinkman2d.analysis import (
 )
 
 
+#: ``regime_table.csv`` of the canonical sweep (the session ``regime_sweep``)
+#: written with ``timings=False``.
+CANONICAL_REGIME_TABLE = [
+    "da,anna,kappa,kappa_flag,iterations,relres,regime,wall_ms",
+    "1.00000e-05,1.00000e-05,1.53590e+09,pinned,1142,9.98186e-07,darcy,0.00000e+00",
+    "1.00000e-04,1.00000e-04,1.53592e+09,pinned,1142,9.90539e-07,darcy,0.00000e+00",
+    "1.00000e-03,1.00000e-03,1.53605e+09,pinned,1142,7.98960e-07,darcy,0.00000e+00",
+    "1.00000e-02,1.00000e-02,1.53733e+09,pinned,1129,9.50357e-07,brinkman,0.00000e+00",
+    "1.00000e-01,1.00000e-01,1.55050e+09,pinned,1019,9.84253e-07,brinkman,0.00000e+00",
+    "1.00000e+00,1.00000e+00,1.76119e+09,pinned,828,9.06068e-07,brinkman,0.00000e+00",
+    "1.00000e+01,1.00000e+01,1.16441e+10,pinned,546,9.36291e-07,brinkman,0.00000e+00",
+    "1.00000e+02,1.00000e+02,3.51837e+11,pinned,314,8.71114e-07,brinkman,0.00000e+00",
+    "1.00000e+03,1.00000e+03,2.85691e+13,pinned,126,9.99599e-07,stokes,0.00000e+00",
+    "1.00000e+04,1.00000e+04,2.82168e+15,pinned-singular,44,9.40962e-07,stokes,0.00000e+00",
+    "1.00000e+05,1.00000e+05,2.82045e+17,pinned-singular,37,8.01088e-07,stokes,0.00000e+00",
+]
+
 class TestConditionNumber:
     def test_identity(self):
         report = condition_number(np.eye(7))
@@ -242,6 +259,42 @@ class TestSweep:
         assert table.rows[0].kappa is None
         assert table.rows[0].kappa_flag == "omitted"
 
+    def test_every_solve_runs_before_the_first_kappa(self, monkeypatch):
+        # the first kappa loads SuperLU and ARPACK; no solve may follow it
+        grid, field, bc = self.small_setup()
+        calls = []
+
+        def logging(name, function):
+            def logged(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return logged
+
+        monkeypatch.setattr(analysis, "gmres_solve", logging("solve", analysis.gmres_solve))
+        monkeypatch.setattr(analysis, "condition_number",
+                            logging("kappa", analysis.condition_number))
+        sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc, SolverConfig())
+        assert calls == ["solve"] * 3 + ["kappa"] * 3
+
+    @pytest.mark.parametrize("pin_pressure, assemblies", [(True, 3), (False, 6)])
+    def test_assemblies_per_point(self, pin_pressure, assemblies, monkeypatch):
+        # a pinned sweep reuses each solved matrix for its kappa
+        grid, field, bc = self.small_setup()
+        pinned_flags = []
+
+        def counting(*args, **kwargs):
+            pinned_flags.append(kwargs["pin_pressure"])
+            return assemble_monolithic(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "assemble_monolithic", counting)
+        table = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc, SolverConfig(),
+                            pin_pressure=pin_pressure)
+        assert len(pinned_flags) == assemblies
+        assert pinned_flags[3:] == [True] * (assemblies - 3)
+        for row in table.rows:
+            pinned = assemble_monolithic(grid, normalize(field), row.anna, bc, pin_pressure=True)
+            assert row.kappa == condition_number(pinned.matrix).kappa
+
     def test_failed_point_recorded_and_sweep_continues(self):
         grid, field, bc = self.small_setup()
         table = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc,
@@ -302,6 +355,14 @@ class TestCsvOutput:
         assert first[7] == "0.00000e+00"
         write_regime_csv(table, path, timings=False)
         assert path.read_text().splitlines() == lines  # rewrite is reproducible
+
+    def test_canonical_sweep_csv_bytes(self, regime_sweep, tmp_path):
+        path = tmp_path / "regime_table.csv"
+        write_regime_csv(regime_sweep, path, timings=False)
+        assert path.read_text().splitlines() == CANONICAL_REGIME_TABLE, (
+            "the canonical regime_table.csv moved a digit: if the change is meant, "
+            "update CANONICAL_REGIME_TABLE and record the move in CHANGES.md"
+        )
 
     def test_regime_csv_omitted_kappa_blank(self, tmp_path, monkeypatch):
         grid = build_grid(6, 6)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,26 @@ class TestVerifyCommand:
         assert not out.exists()
 
 
+    def test_unbuildable_field_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # the field check comes before the uniform-flow direct solve, which
+        # would also load SuperLU
+        calls = []
+        direct_solve = brinkman2d.analysis.direct_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return direct_solve(*args, **kwargs)
+
+        monkeypatch.setattr(brinkman2d.analysis, "direct_solve", counted)
+        out = tmp_path / "out"
+        text = VERIFY_CFG.format(out=out).replace("grid.nx = 8", "grid.nx = 1")
+        cfg = write_cfg(tmp_path, text.replace("field.contrast_y = 1e2", "field.contrast_y = 10"))
+        assert main(["verify", cfg]) == 2
+        assert "grid too small to realize contrast 10.0 in y" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+
 class TestGenFieldCommand:
     def test_generated_file_matches_library_call(self, tmp_path):
         out = tmp_path / "out"
@@ -516,6 +537,51 @@ class TestErrorPaths:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and cause in err, (command, err)
         assert not (tmp_path / "out").exists()
+
+
+OVERFLOW_BASE = """
+grid.nx = 4
+grid.ny = 4
+anna = 1.0
+field.pattern = layered
+field.contrast_x = 1e2
+field.contrast_y = 1e2
+bc.gx = 1.0
+bc.gy = 0.0
+solver.tol = 1e-8
+sweep.da = 1.0
+output.timings = false
+output.dir = {out}
+"""
+
+
+@pytest.mark.parametrize("command, fix, cause", [
+    ("solve", {"anna": "1e300"}, "the rhs norm ||b|| overflows double precision"),
+    ("verify", {"anna": "1e300"}, "the rhs norm ||b|| overflows double precision"),
+    ("solve", {"bc.gx": "1e308"}, "the rhs overflows double precision"),
+    ("verify", {"bc.gx": "1e308"}, "the rhs overflows double precision"),
+    ("sweep", {"sweep.da": "1e300,1e301"}, "the rhs norm ||b|| overflows double precision"),
+    ("sweep", {"sweep.da": "1e308"}, "anna = 1.00000e+308 overflows the matrix"),
+    ("solve", {"anna": "1e306", "bc.gx": "1e-300"},
+     "the product norm ||A q|| overflows double precision at iteration 1"),
+], ids=["solve-anna", "verify-anna", "solve-gx", "verify-gx", "sweep-da", "sweep-da-matrix",
+        "solve-product"])
+def test_overflowing_finite_input_exits_2(tmp_path, capfd, command, fix, cause):
+    # finite config values whose scale overflows double precision: one error
+    # line, no traceback, no warning and nothing else on either stream (the
+    # kappa of an overflowed sweep printed a LAPACK DLASCL message)
+    text = OVERFLOW_BASE.format(out=tmp_path / "out")
+    lines = [line for line in text.splitlines() if line.split(" =")[0] not in fix]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{k} = {v}" for k, v in fix.items()]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, cfg, "--quiet"])
+    captured = capfd.readouterr()
+    assert code == 2
+    assert caught == []
+    assert captured.err.startswith(f"error: {cause}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 class TestModuleEntryPoint:

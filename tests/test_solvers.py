@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from brinkman2d import (
     normalize,
     uniform_kstar,
 )
+from brinkman2d._util import NumericOverflowError
 from brinkman2d.solvers import SettingError
 
 MONOTONE_SLACK = 1e-14
@@ -198,27 +200,32 @@ def per_cycle_gmres_reference(A, b, cfg):
             return x, np.asarray(history)
 
 
-def record_empty_allocations(monkeypatch, fill=None):
-    """Patch ``np.empty`` to record the shape of every array it allocates
-    and, with ``fill``, to overwrite it; returns the list."""
-    shapes = []
-    empty = np.empty
+def record_workspace(monkeypatch, fill=None):
+    """Patch ``np.empty`` and the solver's mapped-store helper to record the
+    shape of every array they allocate and, with ``fill``, to overwrite it;
+    returns the two lists ``(empty_shapes, mapped_shapes)``."""
+    empty_shapes, mapped_shapes = [], []
 
-    def recording_empty(shape, *args, **kwargs):
-        array = empty(shape, *args, **kwargs)
-        shapes.append(array.shape)
-        if fill is not None:
-            array.fill(fill)
-        return array
+    def recording(allocate, shapes):
+        def allocate_and_record(*args, **kwargs):
+            array = allocate(*args, **kwargs)
+            shapes.append(array.shape)
+            if fill is not None:
+                array.fill(fill)
+            return array
+        return allocate_and_record
 
-    monkeypatch.setattr(np, "empty", recording_empty)
-    return shapes
+    monkeypatch.setattr(np, "empty", recording(np.empty, empty_shapes))
+    monkeypatch.setattr(brinkman2d.solvers, "_mapped_store",
+                        recording(brinkman2d.solvers._mapped_store, mapped_shapes))
+    return empty_shapes, mapped_shapes
 
 
 def workspace_shapes(n, m):
-    """What ``gmres_solve`` allocates with ``np.empty``, once per solve: the
-    basis, the packed Hessenberg, ``cs``, ``sn`` and ``omega``."""
-    return [(m + 1, n), (m + m * (m + 1) // 2,), (m,), (m,), (m + 1,)]
+    """What ``gmres_solve`` allocates once per solve: with ``np.empty`` the
+    basis, ``cs``, ``sn`` and ``omega``; in its own mapping the packed
+    Hessenberg."""
+    return [(m + 1, n), (m,), (m,), (m + 1,)], [(m + m * (m + 1) // 2,)]
 
 
 def layered_system(nx, anna):
@@ -332,12 +339,12 @@ class TestGmres:
     def test_one_workspace_matches_per_cycle_reference(self, system, cfg, iterations, cycles,
                                                         breakdown, monkeypatch):
         # the reused basis and packed store give the same bits as a fresh
-        # dense pair per cycle; the workspace is filled with NaN when
-        # allocated, so an entry the current cycle has not written (it is
-        # never cleared) would show as NaN
+        # dense pair per cycle; the workspace, the mapped store included, is
+        # filled with NaN when allocated, so an entry the current cycle has
+        # not written (it is never cleared) would show as NaN
         A, b = system()
         x_ref, history_ref = per_cycle_gmres_reference(A, b, cfg)
-        shapes = record_empty_allocations(monkeypatch, fill=np.nan)
+        shapes = record_workspace(monkeypatch, fill=np.nan)
         x, report = gmres_solve(A, b, cfg)
         assert report.iterations == iterations
         assert (report.cycles, report.breakdown) == (cycles, breakdown)
@@ -352,7 +359,7 @@ class TestGmres:
         A, b = layered_system(8, 1e-3)
         n, m = b.size, 50
         cfg = SolverConfig(tol=1e-6, maxit=300, restart=m)
-        shapes = record_empty_allocations(monkeypatch)
+        shapes = record_workspace(monkeypatch)
         tracemalloc.start()
         try:
             _, report = gmres_solve(A, b, cfg)
@@ -364,6 +371,31 @@ class TestGmres:
         assert shapes == workspace_shapes(n, m)
         assert report.workspace_bytes == ((m + 1) * n + m * (m + 1) // 2 + m) * 8
         assert peak < 1.5 * report.workspace_bytes
+
+    @pytest.mark.parametrize("system, cfg, breakdown", [
+        (lambda: layered_system(8, 1e-3), SolverConfig(tol=1e-6, maxit=208), False),
+        (lambda: (np.array([[1.0, 1.0], [0.0, 2.0]]), np.array([-0.5, 0.5])),
+         SolverConfig(tol=1e-20, maxit=50, restart=1), True),
+    ], ids=["converged", "breakdown"])
+    def test_hessenberg_mapping_is_unmapped_on_return(self, system, cfg, breakdown,
+                                                      monkeypatch):
+        # a heap block freed by one solve stays resident under what the
+        # process loads next; the packed store's own mapping does not
+        A, b = system()
+        mappings = []
+        mapped_store = brinkman2d.solvers._mapped_store
+
+        def recording(size):
+            store = mapped_store(size)
+            mappings.append(weakref.ref(store.base.obj))
+            return store
+
+        monkeypatch.setattr(brinkman2d.solvers, "_mapped_store", recording)
+        _, report = gmres_solve(A, b, cfg)
+        assert report.breakdown == breakdown
+        assert report.converged != breakdown
+        assert len(mappings) == 1
+        assert mappings[0]() is None
 
     def test_workspace_bytes_on_canonical_size(self, monkeypatch):
         # full GMRES on the 20x20 grid: a 1241 x 1240 basis and a packed
@@ -505,6 +537,17 @@ class TestGmres:
             gmres_solve(sp.diags([1.0, np.nan, 1.0], format="csr"), np.ones(3))
         with pytest.raises(ValueError, match="rhs has NaN or inf"):
             gmres_solve(np.eye(3), np.array([1.0, np.inf, 0.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix, rhs, quantity", [
+        (np.eye(2), np.array([1e200, 1e200]), r"\|\|b\|\|"),
+        (sp.diags([1e200, 1e200], format="csr"), np.ones(2), r"\|\|A q\|\| .* iteration 1"),
+        (np.diag([1e200, 1e200]), np.ones(2), r"\|\|A q\|\| .* iteration 1"),
+    ], ids=["rhs", "sparse-product", "dense-product"])
+    def test_overflowing_norm_raises(self, matrix, rhs, quantity):
+        # finite entries whose squares overflow: raise rather than return NaN
+        with pytest.raises(NumericOverflowError, match=quantity):
+            gmres_solve(matrix, rhs)
 
     def test_oversized_krylov_basis_refused_before_allocation(self, monkeypatch):
         # default maxit = n asks for a (n+1) x n basis: 298 GiB at n = 200000
