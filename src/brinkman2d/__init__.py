@@ -6,7 +6,6 @@ from .analysis import (
     ConvergenceStudy,
     LimitCheckReport,
     RegimeRow,
-    RegimeTable,
     SpectrumReport,
     UnsupportedSizeError,
     check_divergence,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,12 +80,6 @@ class RegimeRow:
     divergence_max: float
     velocity_norm: float
     wall_time: float
-
-
-@dataclass
-class RegimeTable:
-    rows: list[RegimeRow]
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -254,7 +248,7 @@ def sweep_darcy(
     bc: BoundaryData,
     config: SolverConfig,
     pin_pressure: bool = False,
-) -> RegimeTable:
+) -> list[RegimeRow]:
     """GMRES behavior across a Darcy-number sweep with one fixed field.
 
     Each point assembles the system at anna = viscosity_ratio * da and
@@ -306,27 +300,14 @@ def sweep_darcy(
             cond = condition_number(pinned)
             row.kappa = cond.kappa
             row.kappa_flag = "pinned-singular" if cond.numerically_singular else "pinned"
-
-    metadata = {
-        "nx": grid.nx,
-        "ny": grid.ny,
-        "contrast_x": field_.contrast_x,
-        "contrast_y": field_.contrast_y,
-        "viscosity_ratio": viscosity_ratio,
-        "tol": config.tol,
-        "maxit": config.maxit,
-        "restart": config.restart,
-        "pin_pressure": pin_pressure,
-        "kappa_convention": "pinned",
-    }
-    return RegimeTable(rows, metadata)
+    return rows
 
 
-def write_regime_csv(table: RegimeTable, path, timings: bool = True) -> None:
+def write_regime_csv(rows: list[RegimeRow], path, timings: bool = True) -> None:
     """Write the sweep table; with ``timings=False`` wall_ms is zeroed so
     repeated runs produce byte-identical files."""
     lines = ["da,anna,kappa,kappa_flag,iterations,relres,regime,wall_ms"]
-    for row in table.rows:
+    for row in rows:
         kappa = "" if row.kappa is None else f"{row.kappa:.5e}"
         wall_ms = row.wall_time * 1e3 if timings else 0.0
         lines.append(

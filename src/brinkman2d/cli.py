@@ -8,6 +8,7 @@ config values whose scale overflows double precision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -103,7 +104,7 @@ def run_sweep(config: RunConfig, quiet: bool = False) -> int:
     grid = build_grid(config.nx, config.ny)
     field = _field_for(config, grid)
     bc = BoundaryData.uniform(grid, config.gx, config.gy)
-    table = analysis.sweep_darcy(
+    rows = analysis.sweep_darcy(
         grid,
         field,
         config.da_values,
@@ -114,16 +115,16 @@ def run_sweep(config: RunConfig, quiet: bool = False) -> int:
     )
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
-    analysis.write_regime_csv(table, os.path.join(out, "regime_table.csv"), timings=config.timings)
+    analysis.write_regime_csv(rows, os.path.join(out, "regime_table.csv"), timings=config.timings)
     write_config(config, os.path.join(out, "config_resolved.txt"))
 
-    for row in table.rows:
+    for row in rows:
         _say(
             quiet,
             f"da={row.da:.1e} anna={row.anna:.1e} iters={row.iterations} "
             f"relres={row.final_relres:.2e} regime={row.regime.value}",
         )
-    return 0 if all(row.converged for row in table.rows) else 1
+    return 0 if all(row.converged for row in rows) else 1
 
 
 def run_gen_field(config: RunConfig, quiet: bool = False) -> int:
@@ -225,11 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a key = value config file")
         p.add_argument("--out", help="output directory (overrides output.dir)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        p.add_argument(
-            "--pin-pressure",
-            choices=("true", "false"),
-            help="override solver.pin_pressure",
-        )
     return parser
 
 
@@ -238,9 +234,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config)
         if args.out is not None:
-            config.out_dir = args.out
-        if args.pin_pressure is not None:
-            config.pin_pressure = args.pin_pressure == "true"
+            config = dataclasses.replace(config, out_dir=args.out)  # checked like output.dir
         dispatch = {
             "solve": run_solve,
             "sweep": run_sweep,
@@ -255,10 +249,6 @@ def main(argv=None) -> int:
     except SettingError as exc:  # a setting the solver refused at run time
         print(f"error: solver.{exc}", file=sys.stderr)
         return 2
-
-
-def app() -> int:
-    return main()
 
 
 if __name__ == "__main__":

@@ -82,6 +82,16 @@ _EXPECTED = {
     _parse_bool: "a boolean",
     _parse_da: "a comma list of finite numbers or logspace:start_exp,end_exp,count",
 }
+#: How :func:`write_config` spells a value of each parser, so it parses back equal.
+_SPELLING = {
+    int: str,
+    str: str,
+    _parse_number: repr,
+    _parse_bool: lambda value: str(value).lower(),
+    _parse_da: lambda values: ",".join(map(repr, values)),
+}
+#: Keys of the field generator, left out when the field comes from ``field.path``.
+_GENERATOR_KEYS = ("field.pattern", "field.contrast_x", "field.contrast_y", "field.seed")
 
 
 @dataclass
@@ -122,6 +132,12 @@ class RunConfig:
                               ("field.contrast_y", self.contrast_y)):
             if not (np.isfinite(contrast) and contrast >= 1.0):
                 raise ConfigError(key, f"must be finite and >= 1, got {contrast}")
+        for key, text in (("field.path", self.field_path), ("output.dir", self.out_dir)):
+            # write_config must be able to write it as a line the parser reads back
+            if text is not None and not (text.splitlines() == [text]
+                                         and text.split("#", 1)[0].strip() == text):
+                raise ConfigError(key, f"{text!r} cannot be written to a config file: it is "
+                                       "empty or holds a '#', a line break or edge whitespace")
         if self.seed < 0:
             raise ConfigError("field.seed", f"must be >= 0, got {self.seed}")
         for key, value in (("bc.gx", self.gx), ("bc.gy", self.gy)):
@@ -199,45 +215,16 @@ def parse_config(path) -> RunConfig:
 
 
 def write_config(config: RunConfig, path) -> None:
-    """Emit a config file that re-parses to an identical RunConfig."""
-    lines = [
-        f"grid.nx = {config.nx}",
-        f"grid.ny = {config.ny}",
-    ]
-    if config.anna is not None:
-        lines.append(f"anna = {config.anna!r}")
-    if config.scales is not None:
-        s = config.scales
-        lines += [
-            f"scales.l_ref = {s.l_ref!r}",
-            f"scales.u_ref = {s.u_ref!r}",
-            f"scales.mu = {s.mu!r}",
-            f"scales.mu_eff = {s.mu_eff!r}",
-            f"scales.k_max = {s.k_max!r}",
-        ]
-    if config.field_pattern is not None:
-        lines += [
-            f"field.pattern = {config.field_pattern}",
-            f"field.contrast_x = {config.contrast_x!r}",
-            f"field.contrast_y = {config.contrast_y!r}",
-            f"field.seed = {config.seed}",
-        ]
-    else:
-        lines.append(f"field.path = {config.field_path}")
-    lines += [
-        f"bc.gx = {config.gx!r}",
-        f"bc.gy = {config.gy!r}",
-        f"solver.tol = {config.tol!r}",
-    ]
-    if config.maxit is not None:
-        lines.append(f"solver.maxit = {config.maxit}")
-    if config.restart is not None:
-        lines.append(f"solver.restart = {config.restart}")
-    lines.append(f"solver.pin_pressure = {str(config.pin_pressure).lower()}")
-    if config.da_values is not None:
-        lines.append("sweep.da = " + ",".join(repr(v) for v in config.da_values))
-    lines += [
-        f"output.dir = {config.out_dir}",
-        f"output.timings = {str(config.timings).lower()}",
-    ]
+    """Emit a config file that re-parses to an identical RunConfig: every
+    set key in ``_KEYS`` order, without the generator keys of a
+    ``field.path`` run."""
+    lines = []
+    for key, (name, parse) in _KEYS.items():
+        if key in _SCALE_KEYS:
+            value = getattr(config.scales, key.removeprefix("scales."), None)  # None with anna
+        else:
+            value = getattr(config, name)
+        if value is None or (config.field_path is not None and key in _GENERATOR_KEYS):
+            continue
+        lines.append(f"{key} = {_SPELLING[parse](value)}")
     atomic_write_text(path, "\n".join(lines) + "\n")

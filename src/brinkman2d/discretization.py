@@ -152,8 +152,6 @@ class MonolithicSystem:
 
 def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     """Canonical CSR (duplicates summed, indices sorted) from lists of triplet arrays."""
-    if not rows:
-        return sp.csr_matrix(shape)
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     ).tocsr()
@@ -172,47 +170,28 @@ def assemble_laplacian(grid: StaggeredGrid) -> sp.csr_matrix:
     """
     nx, ny = grid.nx, grid.ny
     idx2, idy2 = 1.0 / grid.dx**2, 1.0 / grid.dy**2
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r))
-        cols.append(np.asarray(c))
-        vals.append(np.broadcast_to(v, np.asarray(r).shape).astype(float))
-
-    # u-faces, interior in x: i = 1..nx-1, all j
-    if nx >= 2:
-        i = np.repeat(np.arange(1, nx), ny)
-        j = np.tile(np.arange(ny), nx - 1)
-        r = grid.u_index(i, j)
+    # per lattice: index map, the i and j of its rows, and its last i and j
+    lattices = (
+        (grid.u_index, np.arange(1, nx), np.arange(ny), nx, ny - 1),
+        (grid.v_index, np.arange(nx), np.arange(1, ny), nx - 1, ny),
+    )
+    # the order -x, +x, -y, +y fixes the rounding of the ghost terms in the diagonal
+    offsets = ((-1, 0, idx2), (1, 0, idx2), (0, -1, idy2), (0, 1, idy2))
+    rows, cols, vals = [], [], []
+    for index, i, j, last_i, last_j in lattices:
+        i, j = (a.ravel() for a in np.meshgrid(i, j))
+        r = index(i, j)
         diag = np.full(r.size, -2.0 * idx2 - 2.0 * idy2)
-        add(r, grid.u_index(i - 1, j), idx2)
-        add(r, grid.u_index(i + 1, j), idx2)
-        below = j >= 1
-        add(r[below], grid.u_index(i[below], j[below] - 1), idy2)
-        diag[~below] -= idy2  # ghost reflection at the bottom wall
-        above = j <= ny - 2
-        add(r[above], grid.u_index(i[above], j[above] + 1), idy2)
-        diag[~above] -= idy2  # ghost reflection at the top wall
-        add(r, r, diag)
-
-    # v-faces, interior in y: j = 1..ny-1, all i
-    if ny >= 2:
-        i = np.tile(np.arange(nx), ny - 1)
-        j = np.repeat(np.arange(1, ny), nx)
-        r = grid.v_index(i, j)
-        diag = np.full(r.size, -2.0 * idx2 - 2.0 * idy2)
-        add(r, grid.v_index(i, j - 1), idy2)
-        add(r, grid.v_index(i, j + 1), idy2)
-        left = i >= 1
-        add(r[left], grid.v_index(i[left] - 1, j[left]), idx2)
-        diag[~left] -= idx2
-        right = i <= nx - 2
-        add(r[right], grid.v_index(i[right] + 1, j[right]), idx2)
-        diag[~right] -= idx2
-        add(r, r, diag)
-
+        for di, dj, weight in offsets:
+            ni, nj = i + di, j + dj
+            inside = (ni >= 0) & (ni <= last_i) & (nj >= 0) & (nj <= last_j)
+            rows.append(r[inside])
+            cols.append(index(ni[inside], nj[inside]))
+            vals.append(np.full(np.count_nonzero(inside), weight))
+            diag[~inside] -= weight  # ghost reflection at a tangential wall
+        rows.append(r)
+        cols.append(r)
+        vals.append(diag)
     return _csr(rows, cols, vals, (grid.n_velocity, grid.n_velocity))
 
 
@@ -226,36 +205,21 @@ def laplacian_boundary_term(grid: StaggeredGrid, bc: BoundaryData) -> np.ndarray
     nx, ny = grid.nx, grid.ny
     idx2, idy2 = 1.0 / grid.dx**2, 1.0 / grid.dy**2
     vec = np.zeros(grid.n_velocity)
-    if nx >= 2:
-        i = np.arange(1, nx)
-        np.add.at(vec, grid.u_index(i, 0), 2.0 * idy2 * bc.u_bottom[i])
-        np.add.at(vec, grid.u_index(i, ny - 1), 2.0 * idy2 * bc.u_top[i])
-    if ny >= 2:
-        j = np.arange(1, ny)
-        np.add.at(vec, grid.v_index(0, j), 2.0 * idx2 * bc.v_left[j])
-        np.add.at(vec, grid.v_index(nx - 1, j), 2.0 * idx2 * bc.v_right[j])
+    i = np.arange(1, nx)
+    np.add.at(vec, grid.u_index(i, 0), 2.0 * idy2 * bc.u_bottom[i])
+    np.add.at(vec, grid.u_index(i, ny - 1), 2.0 * idy2 * bc.u_top[i])
+    j = np.arange(1, ny)
+    np.add.at(vec, grid.v_index(0, j), 2.0 * idx2 * bc.v_left[j])
+    np.add.at(vec, grid.v_index(nx - 1, j), 2.0 * idx2 * bc.v_right[j])
     return vec
 
 
 def assemble_gradient(grid: StaggeredGrid) -> sp.csr_matrix:
-    """Pressure gradient onto interior faces; boundary-normal rows empty."""
-    nx, ny = grid.nx, grid.ny
-    rows, cols, vals = [], [], []
-    if nx >= 2:
-        i = np.repeat(np.arange(1, nx), ny)
-        j = np.tile(np.arange(ny), nx - 1)
-        r = grid.u_index(i, j)
-        rows += [r, r]
-        cols += [grid.p_index(i, j) - grid.n_velocity, grid.p_index(i - 1, j) - grid.n_velocity]
-        vals += [np.full(r.size, 1.0 / grid.dx), np.full(r.size, -1.0 / grid.dx)]
-    if ny >= 2:
-        i = np.tile(np.arange(nx), ny - 1)
-        j = np.repeat(np.arange(1, ny), nx)
-        r = grid.v_index(i, j)
-        rows += [r, r]
-        cols += [grid.p_index(i, j) - grid.n_velocity, grid.p_index(i, j - 1) - grid.n_velocity]
-        vals += [np.full(r.size, 1.0 / grid.dy), np.full(r.size, -1.0 / grid.dy)]
-    return _csr(rows, cols, vals, (grid.n_velocity, grid.n_p))
+    """Pressure gradient onto interior faces, ``-D^T`` for the divergence
+    ``D``; boundary-normal rows empty."""
+    div = assemble_divergence(grid).tocoo()
+    keep = ~boundary_velocity_mask(grid)[div.col]
+    return _csr([div.col[keep]], [div.row[keep]], [-div.data[keep]], (grid.n_velocity, grid.n_p))
 
 
 def assemble_divergence(grid: StaggeredGrid) -> sp.csr_matrix:
@@ -302,17 +266,15 @@ def drag_coefficients(grid: StaggeredGrid, kstar: NormalizedPermeability) -> np.
     face_u = np.empty((ny, nx + 1))
     face_u[:, 0] = kxx2[:, 0]
     face_u[:, nx] = kxx2[:, nx - 1]
-    if nx >= 2:
-        a, b = kxx2[:, :-1], kxx2[:, 1:]
-        face_u[:, 1:nx] = 2.0 * a * b / (a + b)
+    a, b = kxx2[:, :-1], kxx2[:, 1:]
+    face_u[:, 1:nx] = 2.0 * a * b / (a + b)
     coeff[: grid.n_u] = (1.0 / face_u).ravel()
 
     face_v = np.empty((ny + 1, nx))
     face_v[0, :] = kyy2[0, :]
     face_v[ny, :] = kyy2[ny - 1, :]
-    if ny >= 2:
-        a, b = kyy2[:-1, :], kyy2[1:, :]
-        face_v[1:ny, :] = 2.0 * a * b / (a + b)
+    a, b = kyy2[:-1, :], kyy2[1:, :]
+    face_v[1:ny, :] = 2.0 * a * b / (a + b)
     coeff[grid.n_u:] = (1.0 / face_v).ravel()
     return coeff
 

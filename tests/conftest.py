@@ -13,6 +13,7 @@ from brinkman2d import (
 #: with contrast 1e5 in each direction, tol 1e-6, maxit 1240, full GMRES,
 #: viscosity ratio 1, Da covering 1e-5..1e5 in decades.
 SWEEP_DA = tuple(float(v) for v in np.logspace(-5, 5, 11))
+SWEEP_TOL = 1e-6
 
 
 @pytest.fixture(scope="session")
@@ -21,5 +22,5 @@ def regime_sweep():
     grid = build_grid(20, 20)
     field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
     bc = BoundaryData.uniform(grid, 1.0, 0.0)
-    config = SolverConfig(tol=1e-6, maxit=1240)
+    config = SolverConfig(tol=SWEEP_TOL, maxit=1240)
     return sweep_darcy(grid, field, SWEEP_DA, 1.0, bc, config, pin_pressure=False)

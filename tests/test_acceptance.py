@@ -49,9 +49,9 @@ def test_criterion_2_uniform_flow_exactness():
 
 
 def test_criterion_3_regime_trend(regime_sweep):
-    assert len(regime_sweep.rows) == 11
-    its = [row.iterations for row in regime_sweep.rows]
-    kappas = [row.kappa for row in regime_sweep.rows]
+    assert len(regime_sweep) == 11
+    its = [row.iterations for row in regime_sweep]
+    kappas = [row.kappa for row in regime_sweep]
 
     inversions = [its[k + 1] - its[k] for k in range(len(its) - 1) if its[k + 1] > its[k]]
     ok_a = len(inversions) <= 2 and all(step <= 5 for step in inversions)

@@ -31,6 +31,7 @@ from brinkman2d.analysis import (
     mms_velocity,
     mms_velocity_laplacian,
 )
+from conftest import SWEEP_TOL
 
 
 #: ``regime_table.csv`` of the canonical sweep (the session ``regime_sweep``)
@@ -219,34 +220,34 @@ class TestSweep:
 
     def test_row_per_da_point(self):
         grid, field, bc = self.small_setup()
-        table = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc, SolverConfig())
-        assert len(table.rows) == 3
-        assert [r.da for r in table.rows] == [1e-2, 1.0, 1e2]
+        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc, SolverConfig())
+        assert len(rows) == 3
+        assert [r.da for r in rows] == [1e-2, 1.0, 1e2]
 
     def test_anna_equals_da_for_unit_viscosity_ratio(self):
         grid, field, bc = self.small_setup()
-        table = sweep_darcy(grid, field, (1e-3, 1e3), 1.0, bc, SolverConfig())
-        for row in table.rows:
+        rows = sweep_darcy(grid, field, (1e-3, 1e3), 1.0, bc, SolverConfig())
+        for row in rows:
             assert row.anna == row.da
 
     def test_viscosity_ratio_scales_anna(self):
         grid, field, bc = self.small_setup()
-        table = sweep_darcy(grid, field, (1.0,), 0.5, bc, SolverConfig())
-        assert table.rows[0].anna == 0.5
+        rows = sweep_darcy(grid, field, (1.0,), 0.5, bc, SolverConfig())
+        assert rows[0].anna == 0.5
 
     def test_single_point_sweep_matches_standalone_solve(self):
         grid, field, bc = self.small_setup()
         config = SolverConfig(tol=1e-6)
-        table = sweep_darcy(grid, field, (1.0,), 1.0, bc, config)
+        rows = sweep_darcy(grid, field, (1.0,), 1.0, bc, config)
         system = assemble_monolithic(grid, normalize(field), 1.0, bc)
         _, report = gmres_solve(system.matrix, system.rhs, config)
-        assert table.rows[0].iterations == report.iterations
-        assert table.rows[0].final_relres == report.final_relres
+        assert rows[0].iterations == report.iterations
+        assert rows[0].final_relres == report.final_relres
 
     def test_kappa_computed_on_pinned_matrix(self):
         grid, field, bc = self.small_setup()
-        table = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
-        row = table.rows[0]
+        rows = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
+        row = rows[0]
         assert row.kappa_flag in ("pinned", "pinned-singular")
         pinned = assemble_monolithic(grid, normalize(field), 1.0, bc, pin_pressure=True)
         assert row.kappa == pytest.approx(condition_number(pinned.matrix).kappa, rel=1e-10)
@@ -255,9 +256,9 @@ class TestSweep:
         # a system larger than the decomposition limit gets no kappa
         grid, field, bc = self.small_setup()
         monkeypatch.setattr(analysis, "DENSE_DECOMP_LIMIT", grid.n_total - 1)
-        table = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
-        assert table.rows[0].kappa is None
-        assert table.rows[0].kappa_flag == "omitted"
+        rows = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
+        assert rows[0].kappa is None
+        assert rows[0].kappa_flag == "omitted"
 
     def test_every_solve_runs_before_the_first_kappa(self, monkeypatch):
         # the first kappa loads SuperLU and ARPACK; no solve may follow it
@@ -287,20 +288,20 @@ class TestSweep:
             return assemble_monolithic(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "assemble_monolithic", counting)
-        table = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc, SolverConfig(),
+        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc, SolverConfig(),
                             pin_pressure=pin_pressure)
         assert len(pinned_flags) == assemblies
         assert pinned_flags[3:] == [True] * (assemblies - 3)
-        for row in table.rows:
+        for row in rows:
             pinned = assemble_monolithic(grid, normalize(field), row.anna, bc, pin_pressure=True)
             assert row.kappa == condition_number(pinned.matrix).kappa
 
     def test_failed_point_recorded_and_sweep_continues(self):
         grid, field, bc = self.small_setup()
-        table = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc,
+        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc,
                             SolverConfig(tol=1e-6, maxit=2))
-        assert len(table.rows) == 3
-        assert not any(r.converged for r in table.rows)
+        assert len(rows) == 3
+        assert not any(r.converged for r in rows)
 
     def test_da_validation(self):
         grid, field, bc = self.small_setup()
@@ -316,13 +317,13 @@ class TestSweep:
 
     def test_regime_column(self):
         grid, field, bc = self.small_setup()
-        table = sweep_darcy(grid, field, (1e-5, 1.0, 1e5), 1.0, bc, SolverConfig())
-        assert [r.regime.value for r in table.rows] == ["darcy", "brinkman", "stokes"]
+        rows = sweep_darcy(grid, field, (1e-5, 1.0, 1e5), 1.0, bc, SolverConfig())
+        assert [r.regime.value for r in rows] == ["darcy", "brinkman", "stokes"]
 
     def test_replication_sequence(self, regime_sweep):
-        assert [row.iterations for row in regime_sweep.rows] == \
+        assert [row.iterations for row in regime_sweep] == \
             [1142, 1142, 1142, 1129, 1019, 828, 546, 314, 126, 44, 37]
-        assert [row.kappa_flag for row in regime_sweep.rows] == \
+        assert [row.kappa_flag for row in regime_sweep] == \
             ["pinned"] * 9 + ["pinned-singular"] * 2
 
     @pytest.mark.xfail(
@@ -333,10 +334,9 @@ class TestSweep:
         "replication sweep",
     )
     def test_converged_rows_divergence_within_tolerance(self, regime_sweep):
-        tol = regime_sweep.metadata["tol"]
-        for row in regime_sweep.rows:
+        for row in regime_sweep:
             if row.converged:
-                assert row.divergence_max <= 10.0 * tol * row.velocity_norm
+                assert row.divergence_max <= 10.0 * SWEEP_TOL * row.velocity_norm
 
 
 class TestCsvOutput:
@@ -344,16 +344,16 @@ class TestCsvOutput:
         grid = build_grid(6, 6)
         field = generate_contrast_field(grid, 100.0, 100.0, "layered", 0)
         bc = BoundaryData.uniform(grid, 1.0, 0.0)
-        table = sweep_darcy(grid, field, (1e-1, 1e1), 1.0, bc, SolverConfig())
+        rows = sweep_darcy(grid, field, (1e-1, 1e1), 1.0, bc, SolverConfig())
         path = tmp_path / "table.csv"
-        write_regime_csv(table, path, timings=False)
+        write_regime_csv(rows, path, timings=False)
         lines = path.read_text().splitlines()
         assert lines[0] == "da,anna,kappa,kappa_flag,iterations,relres,regime,wall_ms"
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "1.00000e-01"
         assert first[7] == "0.00000e+00"
-        write_regime_csv(table, path, timings=False)
+        write_regime_csv(rows, path, timings=False)
         assert path.read_text().splitlines() == lines  # rewrite is reproducible
 
     def test_canonical_sweep_csv_bytes(self, regime_sweep, tmp_path):
@@ -369,9 +369,9 @@ class TestCsvOutput:
         field = generate_contrast_field(grid, 10.0, 10.0, "layered", 0)
         bc = BoundaryData.uniform(grid, 1.0, 0.0)
         monkeypatch.setattr(analysis, "DENSE_DECOMP_LIMIT", grid.n_total - 1)
-        table = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
+        rows = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
         path = tmp_path / "table.csv"
-        write_regime_csv(table, path)
+        write_regime_csv(rows, path)
         row = path.read_text().splitlines()[1].split(",")
         assert row[2] == ""
         assert row[3] == "omitted"

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -46,6 +47,76 @@ output.dir = {out}
 """
 
 
+#: The README's regime-study config and a scales + field.path one, with the
+#: config_resolved.txt each resolves to.
+CANONICAL_SWEEP = """
+# regime study: fixed high-contrast field, Da swept over ten decades
+grid.nx = 20
+grid.ny = 20
+anna = 1.0                  # or give the five scales.* keys instead
+field.pattern = layered     # layered | checkerboard | lognormal
+field.contrast_x = 1e5
+field.contrast_y = 1e5
+field.seed = 0              # used by lognormal
+bc.gx = 1.0                 # boundary velocity g = (gx, gy)
+bc.gy = 0.0
+solver.tol = 1e-6
+solver.maxit = 1240
+sweep.da = logspace:-5,5,11 # or an explicit comma list
+output.dir = out
+output.timings = true       # false zeroes wall_ms for diffable CSVs
+"""
+RESOLVED_CANONICAL_SWEEP = """\
+grid.nx = 20
+grid.ny = 20
+anna = 1.0
+field.pattern = layered
+field.contrast_x = 100000.0
+field.contrast_y = 100000.0
+field.seed = 0
+bc.gx = 1.0
+bc.gy = 0.0
+solver.tol = 1e-06
+solver.maxit = 1240
+solver.pin_pressure = false
+sweep.da = 9.999999999999999e-06,0.0001,0.001,0.01,0.1,1.0,10.0,100.0,1000.0,10000.0,100000.0
+output.dir = out
+output.timings = true
+"""
+SCALED_FIELD_PATH = """
+grid.nx = 6
+grid.ny = 4
+scales.l_ref = 0.5
+scales.u_ref = 2e-3
+scales.mu = 1e-3
+scales.mu_eff = 1.5e-3
+scales.k_max = 1e-10
+field.path = fields/k.txt
+bc.gy = -0.25
+solver.restart = 30
+solver.pin_pressure = yes
+output.dir = runs/scaled
+output.timings = off
+"""
+RESOLVED_SCALED_FIELD_PATH = """\
+grid.nx = 6
+grid.ny = 4
+scales.l_ref = 0.5
+scales.u_ref = 0.002
+scales.mu = 0.001
+scales.mu_eff = 0.0015
+scales.k_max = 1e-10
+field.path = fields/k.txt
+bc.gx = 1.0
+bc.gy = -0.25
+solver.tol = 1e-06
+solver.restart = 30
+solver.pin_pressure = true
+output.dir = runs/scaled
+output.timings = false
+"""
+
+
 class TestConfig:
     def test_round_trip_with_anna(self, tmp_path):
         config = RunConfig(
@@ -68,6 +139,26 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         write_config(config, path)
         assert parse_config(path) == config
+
+    @pytest.mark.parametrize("text, resolved", [
+        (CANONICAL_SWEEP, RESOLVED_CANONICAL_SWEEP),
+        (SCALED_FIELD_PATH, RESOLVED_SCALED_FIELD_PATH),
+    ], ids=["canonical-sweep", "scales-field-path"])
+    def test_resolved_config_bytes(self, tmp_path, text, resolved):
+        path = tmp_path / "config_resolved.txt"
+        write_config(parse_config_text(text), path)
+        assert path.read_bytes() == resolved.encode()
+
+    @pytest.mark.parametrize("value", ["run#1", "run\n1", "run\r1", " run", "run ", ""])
+    @pytest.mark.parametrize("key", ["output.dir", "field.path"])
+    def test_text_that_cannot_be_written_back_named(self, key, value):
+        if key == "output.dir":
+            settings = {"field_pattern": "layered", "out_dir": value}
+        else:
+            settings = {"field_path": value}
+        with pytest.raises(ConfigError, match="cannot be written") as info:
+            RunConfig(nx=2, ny=2, anna=1.0, **settings)
+        assert info.value.key == key
 
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config_text(
@@ -231,11 +322,35 @@ class TestSolveCommand:
         assert (out / "u.txt").exists()
         assert ",false," in (out / "report.csv").read_text()
 
-    def test_pin_pressure_flag_overrides(self, tmp_path):
+    def test_pin_pressure_key_reaches_resolved_config(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=out) + "solver.pin_pressure = true\n")
+        assert main(["solve", cfg]) == 0
+        assert parse_config(out / "config_resolved.txt").pin_pressure is True
+
+    def test_pin_pressure_flag_is_a_usage_error(self, tmp_path, capsys):
+        # solver.pin_pressure in the config file is the one way to set it
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=out))
-        assert main(["solve", cfg, "--pin-pressure", "true"]) == 0
-        assert parse_config(out / "config_resolved.txt").pin_pressure is True
+        with pytest.raises(SystemExit) as info:
+            main(["solve", cfg, "--pin-pressure", "true"])
+        assert info.value.code == 2
+        assert "--pin-pressure" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["run#1", "run\n1", " run", ""])
+    def test_out_that_cannot_be_resolved_exits_2_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, out):
+        # config_resolved.txt would write output.dir = run#1, which re-parses as run
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with an output.dir that cannot be written back")
+
+        monkeypatch.setattr(brinkman2d.cli, "gmres_solve", no_solve)
+        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out="ignored"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", cfg, "--out", out]) == 2
+        assert "config key 'output.dir'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_out_flag_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "ignored"))
@@ -582,6 +697,14 @@ def test_overflowing_finite_input_exits_2(tmp_path, capfd, command, fix, cause):
     assert captured.err.startswith(f"error: {cause}")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_console_script_resolves_to_a_callable():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["brinkman2d"]
+    module, _, name = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 class TestModuleEntryPoint:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -133,6 +135,48 @@ class TestGradientDivergence:
         div = assemble_divergence(grid).toarray()
         interior = ~boundary_velocity_mask(grid)
         assert np.array_equal(grad[interior, :], -div[:, interior].T)
+
+
+def operator_digest(matrix):
+    """SHA-256 of a CSR matrix's indptr, indices and data, index dtype normalised."""
+    h = hashlib.sha256()
+    for part in (matrix.indptr.astype("<i8"), matrix.indices.astype("<i8"),
+                 matrix.data.astype("<f8")):
+        h.update(part.tobytes())
+    return h.hexdigest()
+
+
+#: Digests of (L, G, D) from the per-lattice assembly with G written out
+#: term by term, which the single five-point loop and G = -D^T reproduce
+#: bit for bit.
+OPERATOR_DIGESTS = {
+    (1, 1): ("2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb",
+             "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb",
+             "d3dd5ddb564044f78d4ab5d25176f5d6d485c236611fc41b57062c45ce120981"),
+    (1, 3): ("c48fb3077d371d2ff459307d2600f6e99359f7ea1800f95f29ddf7b89c50b409",
+             "ffcc34453fcf824cb02e74b73ad1457314a176ba095841169b620577f2c64bb8",
+             "7f3c955154c6c51b292e54bad66a426fa7bb60c466970752ba89ef6420f40089"),
+    (3, 1): ("552cc8a202a32e9e4251c54c6edd53d60b3d1a77e7892a83446eceb46c66c975",
+             "d8e75167818dd87c0a28e7cfba5ef60017c7c3fcbf74ce873cf7bf4b62a1cfe1",
+             "0281af06aa0f08bc5d575f4b686ea02f6aa9a718c53447c383f3c63473dbced4"),
+    (4, 3): ("d96933234fae16adb6d256eee15ac0cb3a3af966e704b39b1472f38c145751b9",
+             "4ed6a84a809812173096fa699e37bbda5679cb3296bc6c3274bbbf414d5faabe",
+             "aaaf740bde72f314cbb706f6e5a9afe46c5ee9646c9d6e6ed365193b00d513e7"),
+    (13, 7): ("00bd54c01d89196da30a317760bfb52990ec1c6f03c186d7173b2862b3077397",
+              "95a26c55eed7c45ea949d1ba334eca3f120cc39e55787f507dd86aa1d1311b24",
+              "bcc15ecba92ed532cdda2520df5af1f927fa5bb84e27dd9ff2d6f60192da2e56"),
+    (20, 20): ("5c50dcfbd50669e98ab784e9738e94c517b67f05984ded563a8924ac46cccab2",
+               "4f3f690d7d1a3bb4baabc27fdd9dc8a7e60fbf0af2aa6265d23a79cccf166b82",
+               "150dcf6e614444ab28058dfc0d135f2fecfd971b2fb6037357d5e43333dd912f"),
+}
+
+
+@pytest.mark.parametrize("nx, ny", OPERATOR_DIGESTS)
+def test_operator_bytes_pinned(nx, ny):
+    grid = build_grid(nx, ny)
+    got = tuple(operator_digest(assemble(grid)) for assemble in
+                (assemble_laplacian, assemble_gradient, assemble_divergence))
+    assert got == OPERATOR_DIGESTS[(nx, ny)]
 
 
 class TestDrag:
