@@ -32,7 +32,6 @@ from .grid import StaggeredGrid, build_grid
 from .media import (
     FieldFormatError,
     InvalidFieldError,
-    NormalizedPermeability,
     PermeabilityField,
     generate_contrast_field,
     load_field,

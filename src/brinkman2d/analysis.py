@@ -3,9 +3,9 @@ manufactured-solution convergence, and limit consistency checks.
 
 The sweep reuses one normalized permeability field and varies only the
 control number anna = viscosity_ratio * Da, mirroring a fixed-contrast
-experiment.  Condition numbers are computed on the pressure-pinned
-matrix by default; the unpinned matrix has an exact constant-pressure
-nullspace and its kappa is only meaningful with that mode excluded.
+experiment.  Condition numbers are always computed on the pressure-pinned
+matrix; the unpinned matrix has an exact constant-pressure nullspace and
+its kappa is only meaningful with that mode excluded.
 
 Conditioning and spectra take matrices of at most ``DENSE_DECOMP_LIMIT``
 unknowns.  A sparse matrix gets kappa from one sparse LU factor and two
@@ -16,7 +16,6 @@ oracle.  Spectra are always dense.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .discretization import (
     assemble_monolithic,
 )
 from .grid import StaggeredGrid, boundary_velocity_mask, build_grid
-from .media import NormalizedPermeability, PermeabilityField, normalize, uniform_kstar
+from .media import PermeabilityField, normalize, uniform_kstar
 from .scaling import Regime, check_da_values, classify_regime
 from .solvers import SolverConfig, direct_solve, gmres_solve
 
@@ -259,22 +258,17 @@ def sweep_darcy(
     The sweep runs in two passes.  The first solves every point and keeps
     only what its row needs; the second measures every kappa.  The first
     kappa loads SuperLU and ARPACK (~10 MB resident), so with the solves
-    done first that memory never adds to a live Krylov workspace.  A
-    pinned sweep keeps each solved matrix for its kappa; an unpinned one
-    assembles the pinned matrix again in the second pass.
+    done first that memory never adds to a live Krylov workspace.  The
+    second pass assembles each point's pinned matrix again.
     """
     da = check_da_values(da_values)
     kstar = normalize(field_)
     with_kappa = grid.n_total <= DENSE_DECOMP_LIMIT
     rows: list[RegimeRow] = []
-    solved = []  # each point's matrix when it is the pinned one kappa needs
     for value in da:
         anna = viscosity_ratio * value
         system = assemble_monolithic(grid, kstar, anna, bc, pin_pressure=pin_pressure)
-        t0 = time.perf_counter()
         x, report = gmres_solve(system.matrix, system.rhs, config)
-        wall = time.perf_counter() - t0
-
         velocity = x[: grid.n_velocity]
         rows.append(
             RegimeRow(
@@ -288,15 +282,13 @@ def sweep_darcy(
                 regime=classify_regime(anna),
                 divergence_max=check_divergence(grid, velocity),
                 velocity_norm=float(np.linalg.norm(velocity)),
-                wall_time=wall,
+                wall_time=report.wall_time,
             )
         )
-        solved.append(system.matrix if pin_pressure and with_kappa else None)
 
     if with_kappa:
-        for row, pinned in zip(rows, solved):
-            if pinned is None:
-                pinned = assemble_monolithic(grid, kstar, row.anna, bc, pin_pressure=True).matrix
+        for row in rows:
+            pinned = assemble_monolithic(grid, kstar, row.anna, bc, pin_pressure=True).matrix
             cond = condition_number(pinned)
             row.kappa = cond.kappa
             row.kappa_flag = "pinned-singular" if cond.numerically_singular else "pinned"
@@ -381,8 +373,9 @@ def _solution_errors(grid: StaggeredGrid, solution: np.ndarray) -> tuple[float, 
     return vel_err, p_err
 
 
-def manufactured_run(grid_sizes, anna: float, kstar_value: float = 1.0) -> ConvergenceStudy:
-    """Refinement study against the manufactured solution (pinned direct solves)."""
+def manufactured_run(grid_sizes, anna: float) -> ConvergenceStudy:
+    """Refinement study against the manufactured solution with K* = 1
+    (pinned direct solves)."""
     sizes = tuple(int(n) for n in grid_sizes)
     if len(sizes) < 3:
         raise ValueError(f"need at least 3 grid levels, got {len(sizes)}")
@@ -391,14 +384,10 @@ def manufactured_run(grid_sizes, anna: float, kstar_value: float = 1.0) -> Conve
     p_errors = []
     for n in sizes:
         grid = build_grid(n, n)
-        kstar = NormalizedPermeability(
-            np.full(grid.n_p, float(kstar_value)),
-            np.full(grid.n_p, float(kstar_value)),
-            kmax=1.0,
-        )
-        forcing = mms_forcing(grid, anna, kstar_value)
+        forcing = mms_forcing(grid, anna, 1.0)
         bc = BoundaryData.uniform(grid, 0.0, 0.0)  # manufactured velocity vanishes on walls
-        system = assemble_monolithic(grid, kstar, anna, bc, forcing=forcing, pin_pressure=True)
+        system = assemble_monolithic(grid, uniform_kstar(grid), anna, bc, forcing=forcing,
+                                     pin_pressure=True)
         solution = direct_solve(system.matrix, system.rhs)
         ve, pe = _solution_errors(grid, solution)
         vel_errors.append(ve)

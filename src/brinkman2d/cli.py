@@ -131,9 +131,7 @@ def run_gen_field(config: RunConfig, quiet: bool = False) -> int:
     if config.field_pattern is None:
         raise ConfigError("field.pattern", "gen-field requires a generator pattern, not field.path")
     grid = build_grid(config.nx, config.ny)
-    field = generate_contrast_field(
-        grid, config.contrast_x, config.contrast_y, config.field_pattern, config.seed
-    )
+    field = _field_for(config, grid)
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "field.txt")
@@ -180,9 +178,7 @@ def run_verify(config: RunConfig, quiet: bool = False) -> int:
     vgrid = build_grid(16, 16)
     vbc = BoundaryData.uniform(vgrid, config.gx, config.gy)
     if config.field_pattern is not None:
-        vfield = generate_contrast_field(
-            vgrid, config.contrast_x, config.contrast_y, config.field_pattern, config.seed
-        )
+        vfield = _field_for(config, vgrid)
     else:
         vfield = generate_contrast_field(vgrid, 1e5, 1e5, "layered", config.seed)
     limits = analysis.limit_checks(vgrid, vfield, vbc)

@@ -210,8 +210,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_config_text(text, source=str(path))
 
 
 def write_config(config: RunConfig, path) -> None:

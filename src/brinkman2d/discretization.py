@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from ._util import NumericOverflowError
 from .grid import StaggeredGrid, boundary_velocity_mask
-from .media import InvalidFieldError, NormalizedPermeability
+from .media import InvalidFieldError, PermeabilityField
 
 #: |net boundary flux| above this (relative to the data magnitude) marks
 #: boundary data as incompatible with the divergence constraint.
@@ -243,43 +243,31 @@ def assemble_divergence(grid: StaggeredGrid) -> sp.csr_matrix:
     return _csr([r, r, r, r], cols, vals, (grid.n_p, grid.n_velocity))
 
 
-def drag_coefficients(grid: StaggeredGrid, kstar: NormalizedPermeability) -> np.ndarray:
+def _harmonic_faces(k: np.ndarray) -> np.ndarray:
+    """Values on the faces across the rows of ``k``: the harmonic mean of
+    the two adjacent rows between them, the adjacent row at both ends."""
+    faces = np.empty((k.shape[0] + 1, k.shape[1]))
+    faces[0], faces[-1] = k[0], k[-1]
+    a, b = k[:-1], k[1:]
+    faces[1:-1] = 2.0 * a * b / (a + b)
+    return faces
+
+
+def drag_coefficients(grid: StaggeredGrid, kstar: PermeabilityField) -> np.ndarray:
     """Per-face inverse permeability 1/K* (diagonal of the drag block).
 
     Faces between two cells use the harmonic mean of the adjacent cell
     values; domain-boundary faces use the single adjacent cell.
     """
-    nx, ny = grid.nx, grid.ny
-    kxx = np.asarray(kstar.kstar_xx, dtype=float)
-    kyy = np.asarray(kstar.kstar_yy, dtype=float)
-    if kxx.size != grid.n_p or kyy.size != grid.n_p:
-        raise InvalidFieldError(f"normalized field sized for {kxx.size} cells, grid has {grid.n_p}")
-    if np.any(kxx <= 0.0) or np.any(kyy <= 0.0) or not (
-        np.all(np.isfinite(kxx)) and np.all(np.isfinite(kyy))
-    ):
-        raise InvalidFieldError("singular drag: normalized permeability must be positive and finite")
-
-    kxx2 = kxx.reshape(ny, nx)
-    kyy2 = kyy.reshape(ny, nx)
-    coeff = np.empty(grid.n_velocity)
-
-    face_u = np.empty((ny, nx + 1))
-    face_u[:, 0] = kxx2[:, 0]
-    face_u[:, nx] = kxx2[:, nx - 1]
-    a, b = kxx2[:, :-1], kxx2[:, 1:]
-    face_u[:, 1:nx] = 2.0 * a * b / (a + b)
-    coeff[: grid.n_u] = (1.0 / face_u).ravel()
-
-    face_v = np.empty((ny + 1, nx))
-    face_v[0, :] = kyy2[0, :]
-    face_v[ny, :] = kyy2[ny - 1, :]
-    a, b = kyy2[:-1, :], kyy2[1:, :]
-    face_v[1:ny, :] = 2.0 * a * b / (a + b)
-    coeff[grid.n_u:] = (1.0 / face_v).ravel()
-    return coeff
+    if kstar.kxx.size != grid.n_p:
+        raise InvalidFieldError(
+            f"normalized field sized for {kstar.kxx.size} cells, grid has {grid.n_p}")
+    face_u = _harmonic_faces(kstar.kxx.reshape(grid.ny, grid.nx).T).T
+    face_v = _harmonic_faces(kstar.kyy.reshape(grid.ny, grid.nx))
+    return 1.0 / np.concatenate([face_u.ravel(), face_v.ravel()])
 
 
-def assemble_drag(grid: StaggeredGrid, kstar: NormalizedPermeability) -> sp.csr_matrix:
+def assemble_drag(grid: StaggeredGrid, kstar: PermeabilityField) -> sp.csr_matrix:
     """Diagonal drag block over all velocity faces."""
     return sp.diags(drag_coefficients(grid, kstar), format="csr")
 
@@ -299,7 +287,7 @@ def boundary_values(grid: StaggeredGrid, bc: BoundaryData) -> np.ndarray:
 
 def assemble_monolithic(
     grid: StaggeredGrid,
-    kstar: NormalizedPermeability,
+    kstar: PermeabilityField,
     anna: float,
     bc: BoundaryData,
     forcing: ForcingField | None = None,

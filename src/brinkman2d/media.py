@@ -2,9 +2,11 @@
 
 Fields store the two diagonal components kxx and kyy per cell, flattened
 in the grid's row-major, j-outer order.  Only diagonal tensors are
-supported.  Synthetic generators produce the high-contrast layouts used
-by the regime studies; the exact spatial layout is an explicit stand-in,
-only the contrast is controlled.
+supported.  The one type, :class:`PermeabilityField`, holds both K and
+the dimensionless K* = K / kmax that :func:`normalize` returns, so K* is
+validated when it is built.  Synthetic generators produce the
+high-contrast layouts used by the regime studies; the exact spatial
+layout is an explicit stand-in, only the contrast is controlled.
 """
 
 from __future__ import annotations
@@ -59,31 +61,16 @@ class PermeabilityField:
         return float(self.kyy.max() / self.kyy.min())
 
 
-@dataclass(frozen=True)
-class NormalizedPermeability:
-    """Dimensionless permeability K* = K / kmax; the largest entry is exactly 1."""
-
-    kstar_xx: np.ndarray
-    kstar_yy: np.ndarray
-    kmax: float
-
-    def __post_init__(self):
-        for name in ("kstar_xx", "kstar_yy"):
-            arr = np.asarray(getattr(self, name), dtype=float).ravel()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+def normalize(field: PermeabilityField) -> PermeabilityField:
+    """K* = K / kmax: both components divided by the largest entry of the
+    whole tensor, so the largest K* entry is exactly 1."""
+    kmax = max(field.kxx.max(), field.kyy.max())
+    return PermeabilityField(field.kxx / kmax, field.kyy / kmax)
 
 
-def normalize(field: PermeabilityField) -> NormalizedPermeability:
-    """Divide both components by the largest entry of the whole tensor."""
-    kmax = float(max(field.kxx.max(), field.kyy.max()))
-    return NormalizedPermeability(field.kxx / kmax, field.kyy / kmax, kmax)
-
-
-def uniform_kstar(grid: StaggeredGrid) -> NormalizedPermeability:
-    """Normalized field with K* identically 1."""
-    ones = np.ones(grid.n_p)
-    return NormalizedPermeability(ones, ones.copy(), 1.0)
+def uniform_kstar(grid: StaggeredGrid) -> PermeabilityField:
+    """K* identically 1."""
+    return PermeabilityField(np.ones(grid.n_p), np.ones(grid.n_p))
 
 
 def generate_contrast_field(
@@ -113,54 +100,34 @@ def generate_contrast_field(
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}, expected one of {PATTERNS}")
 
-    nx, ny = grid.nx, grid.ny
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    ii = ii.ravel()
-    jj = jj.ravel()
-
-    def _two_level(mask_high: np.ndarray, contrast: float, axis: str) -> np.ndarray:
-        if contrast == 1.0:
-            return np.ones(grid.n_p)
-        if not (mask_high.any() and (~mask_high).any()):
-            raise InvalidFieldError(f"grid too small to realize contrast {contrast} in {axis}")
-        return np.where(mask_high, contrast, 1.0)
-
+    ii, jj = (a.ravel() for a in np.meshgrid(np.arange(grid.nx), np.arange(grid.ny)))
     if pattern == "layered":
-        kxx = _graded_bands(ny, contrast_x, "x")[jj]
-        kyy = _graded_bands(nx, contrast_y, "y")[ii]
+        tx = np.linspace(1.0, 0.0, grid.ny)[jj]
+        ty = np.linspace(1.0, 0.0, grid.nx)[ii]
     elif pattern == "checkerboard":
-        kxx = _two_level((ii + jj) % 2 == 0, contrast_x, "x")
-        kyy = _two_level((ii + jj) % 2 == 1, contrast_y, "y")
+        tx = ((ii + jj) % 2 == 0).astype(float)
+        ty = ((ii + jj) % 2 == 1).astype(float)
     else:
         rng = np.random.default_rng(seed)
-        kxx = _log_rescaled(rng.standard_normal(grid.n_p), contrast_x, "x")
-        kyy = _log_rescaled(rng.standard_normal(grid.n_p), contrast_y, "y")
-    return PermeabilityField(kxx, kyy)
+        tx = _unit_range(rng.standard_normal(grid.n_p))
+        ty = _unit_range(rng.standard_normal(grid.n_p))
+    return PermeabilityField(_log_graded(tx, contrast_x, "x"), _log_graded(ty, contrast_y, "y"))
 
 
-def _graded_bands(n_bands: int, contrast: float, axis: str) -> np.ndarray:
-    if contrast == 1.0:
-        return np.ones(n_bands)
-    if n_bands < 2:
-        raise InvalidFieldError(f"grid too small to realize contrast {contrast} in {axis}")
-    t = np.linspace(1.0, 0.0, n_bands)
-    vals = np.exp(np.log(contrast) * t)
-    vals[0] = contrast  # pin the extremes: contrast is exact
-    vals[-1] = 1.0
-    return vals
-
-
-def _log_rescaled(z: np.ndarray, contrast: float, axis: str) -> np.ndarray:
-    if contrast == 1.0:
-        return np.ones(z.size)
+def _unit_range(z: np.ndarray) -> np.ndarray:
+    """``z`` mapped affinely onto [0, 1]; all zeros when ``z`` is constant."""
     span = z.max() - z.min()
-    if span == 0.0:
+    return (z - z.min()) / span if span else np.zeros(z.size)
+
+
+def _log_graded(t: np.ndarray, contrast: float, axis: str) -> np.ndarray:
+    """Permeabilities log-spaced from 1 (``t = 0``) to ``contrast``
+    (``t = 1``), both ends exact; raises when ``t`` misses either end."""
+    if contrast == 1.0:
+        return np.ones(t.size)
+    if not ((t == 0.0).any() and (t == 1.0).any()):
         raise InvalidFieldError(f"grid too small to realize contrast {contrast} in {axis}")
-    t = (z - z.min()) / span
-    k = np.exp(np.log(contrast) * t)
-    k[np.argmax(k)] = contrast
-    k[np.argmin(k)] = 1.0
-    return k
+    return np.where(t == 1.0, contrast, np.where(t == 0.0, 1.0, np.exp(np.log(contrast) * t)))
 
 
 def write_field(path, grid: StaggeredGrid, field: PermeabilityField) -> None:
@@ -172,9 +139,13 @@ def write_field(path, grid: StaggeredGrid, field: PermeabilityField) -> None:
 
 def load_field(path, grid: StaggeredGrid) -> PermeabilityField:
     """Read a field file written by :func:`write_field` (row-major, j outer)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.strip() for ln in fh]
-    rows = [r for r in rows if r and not r.startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FieldFormatError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    rows = [r for r in map(str.strip, text.split("\n")) if r and not r.startswith("#")]
     if not rows:
         raise FieldFormatError(f"{path}: empty field file")
     head = rows[0].split()

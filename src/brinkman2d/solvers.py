@@ -190,14 +190,13 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     history = [1.0]
     total_iters = 0
     cycles = 0
-    final_relres = 1.0
     breakdown = False
 
     while True:
         r = b - A @ x
         r_norm = float(np.linalg.norm(r))
         final_relres = r_norm / b_norm
-        if final_relres <= cfg.tol or total_iters >= maxit or breakdown or r_norm == 0.0:
+        if final_relres <= cfg.tol or total_iters >= maxit or breakdown:
             break
 
         m = min(m_max, maxit - total_iters)
@@ -207,7 +206,6 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
         g = [r_norm]
         np.divide(r, r_norm, out=Q[0])
 
-        k_used = 0
         for k in range(m):
             with np.errstate(over="ignore"):
                 w = A @ Q[k]
@@ -243,7 +241,6 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
             g[k] = c * g[k]
 
             total_iters += 1
-            k_used = k + 1
             est = abs(g[k + 1]) / b_norm
             history.append(est)
 
@@ -254,6 +251,7 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
                 break
             np.divide(w, h_next, out=Q[k + 1])
 
+        k_used = k + 1
         for i in range(k_used):  # the cycle's rotations, once, row by row
             c, s = cs[i], sn[i]
             top = H[base[i] + i: base[i] + k_used]
@@ -261,11 +259,6 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
             top[:], bottom[:] = c * top + s * bottom, -s * top + c * bottom
         y = _solve_packed_upper(H, base, g[:k_used], singular)
         x = x + Q[:k_used].T @ y
-
-        if breakdown or total_iters >= maxit:
-            r = b - A @ x
-            final_relres = float(np.linalg.norm(r)) / b_norm
-            break
 
     report = SolveReport(
         iterations=total_iters,

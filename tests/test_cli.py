@@ -636,6 +636,26 @@ class TestErrorPaths:
         )
         assert main(["solve", cfg]) == 2
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # a UTF-16 file with its byte-order mark, as some editors save text
+        cfg = tmp_path / "run.cfg"
+        text = UNIFORM_SOLVE.format(out=tmp_path / "out")
+        cfg.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+        assert main(["solve", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err and "not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_field_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        field = tmp_path / "k.txt"
+        field.write_bytes(b"2 2\n1 1\n1 \xe9\n1 1\n1 1\n")  # a Latin-1 byte on line 3
+        cfg = write_cfg(tmp_path, f"grid.nx = 2\ngrid.ny = 2\nanna = 1.0\nfield.path = {field}\n"
+                                  f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(field) in err and "not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("fix, cause", [
         ({"field.pattern": "lognormal", "field.seed": "-1"}, "'field.seed'"),
         ({"grid.nx": "1", "field.contrast_y": "10"}, "grid too small to realize contrast"),

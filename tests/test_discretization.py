@@ -8,7 +8,7 @@ from brinkman2d import (
     BoundaryData,
     ForcingField,
     InvalidFieldError,
-    NormalizedPermeability,
+    PermeabilityField,
     assemble_divergence,
     assemble_drag,
     assemble_gradient,
@@ -21,9 +21,8 @@ from brinkman2d import (
     normalize,
     uniform_kstar,
 )
-from brinkman2d.discretization import COMPATIBILITY_TOL, boundary_values
+from brinkman2d.discretization import COMPATIBILITY_TOL, boundary_values, drag_coefficients
 from brinkman2d.grid import boundary_velocity_mask
-from brinkman2d.media import PermeabilityField
 
 
 def u_face_values(grid, fn):
@@ -188,22 +187,47 @@ class TestDrag:
     def test_harmonic_mean_between_contrasting_cells(self):
         # harmonic mean 2ab/(a+b) of 1 and 1e-5: coefficient (a+b)/(2ab) = 50000.5
         grid = build_grid(2, 1)
-        kstar = NormalizedPermeability(np.array([1.0, 1e-5]), np.array([1.0, 1.0]), 1.0)
+        kstar = PermeabilityField(np.array([1.0, 1e-5]), np.array([1.0, 1.0]))
         coeff = assemble_drag(grid, kstar).diagonal()
         assert coeff[grid.u_index(1, 0)] == pytest.approx(5.00005e4, rel=1e-12)
 
     def test_boundary_face_uses_single_cell(self):
         grid = build_grid(1, 1)
-        kstar = NormalizedPermeability(np.array([0.5]), np.array([0.5]), 1.0)
+        kstar = PermeabilityField(np.array([0.5]), np.array([0.5]))
         coeff = assemble_drag(grid, kstar).diagonal()
         assert coeff[grid.u_index(0, 0)] == 2.0
         assert coeff[grid.v_index(0, 1)] == 2.0
 
     def test_zero_permeability_rejected(self):
-        grid = build_grid(2, 1)
-        bad = NormalizedPermeability(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 1.0)
-        with pytest.raises(InvalidFieldError):
-            assemble_drag(grid, bad)
+        # a K* the drag block would divide by zero cannot be built
+        with pytest.raises(InvalidFieldError, match="kxx must be strictly positive"):
+            PermeabilityField(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
+    def test_field_for_another_grid_rejected(self):
+        with pytest.raises(InvalidFieldError, match="sized for 2 cells, grid has 4"):
+            assemble_drag(build_grid(2, 2), uniform_kstar(build_grid(2, 1)))
+
+
+#: Digests of the drag coefficients of random K* fields (seeded per grid),
+#: from the face averages written out once per face lattice, which the
+#: single harmonic face average reproduces bit for bit.
+DRAG_DIGESTS = {
+    (1, 1): "2329fa034245829bd476f76560ccf9a099133cf0801c16de72cb965e7e74e49c",
+    (1, 3): "b5875700da9b7b605b7b63bbd2c9c5d898a9c6669bae0f7d30cf05a64dcb3509",
+    (3, 1): "3549ddad4c579cf7bfa2945974ac68c6e7b0f572372430bbdcc4aed25322fa84",
+    (4, 3): "793b5d476e2fedf3dcd319d7dbb8213604dd296199647bb7197de7dbe7fd40dd",
+    (13, 7): "27c22275091c2e9e7d8e34bc04532e00e4279877ec26f2837071b69f5fd2f428",
+    (20, 20): "e6872a50eb9b9800032f9746f987221091036c3b9207ccde4092ec894ac424a2",
+}
+
+
+@pytest.mark.parametrize("nx, ny", DRAG_DIGESTS)
+def test_drag_bytes_pinned(nx, ny):
+    grid = build_grid(nx, ny)
+    rng = np.random.default_rng(nx * 100 + ny)
+    kstar = normalize(PermeabilityField(*np.exp(rng.uniform(-12.0, 3.0, (2, grid.n_p)))))
+    digest = hashlib.sha256(drag_coefficients(grid, kstar).tobytes()).hexdigest()
+    assert digest == DRAG_DIGESTS[(nx, ny)]
 
 
 def uniform_flow_exact_vector(grid, pinned):

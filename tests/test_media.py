@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,18 +18,16 @@ from brinkman2d import (
 def test_normalize_uniform_field():
     k = np.full(9, 5.0)
     norm = normalize(PermeabilityField(k, k.copy()))
-    assert np.all(norm.kstar_xx == 1.0)
-    assert np.all(norm.kstar_yy == 1.0)
-    assert norm.kmax == 5.0
+    assert np.all(norm.kxx == 1.0)
+    assert np.all(norm.kyy == 1.0)
 
 
 def test_normalize_two_value_field():
     values = np.array([1.0, 1e5, 1.0, 1e5])
     field = PermeabilityField(values, values[::-1].copy())
     norm = normalize(field)
-    assert set(norm.kstar_xx) == {1e-5, 1.0}
-    assert set(norm.kstar_yy) == {1e-5, 1.0}
-    assert norm.kmax == 1e5
+    assert set(norm.kxx) == {1e-5, 1.0}
+    assert set(norm.kyy) == {1e-5, 1.0}
 
 
 def test_normalize_preserves_ratios():
@@ -35,8 +35,9 @@ def test_normalize_preserves_ratios():
     grid = build_grid(6, 5)
     field = PermeabilityField(rng.uniform(0.1, 9.0, grid.n_p), rng.uniform(0.5, 2.0, grid.n_p))
     norm = normalize(field)
-    assert max(norm.kstar_xx.max(), norm.kstar_yy.max()) == 1.0
-    ratio = norm.kstar_xx[3] / norm.kstar_xx[17]
+    assert type(norm) is PermeabilityField  # K* is validated when it is built
+    assert max(norm.kxx.max(), norm.kyy.max()) == 1.0
+    ratio = norm.kxx[3] / norm.kxx[17]
     assert ratio == pytest.approx(field.kxx[3] / field.kxx[17], rel=1e-12)
 
 
@@ -46,12 +47,43 @@ def test_normalize_scale_equivariance():
     base = normalize(field)
     # power-of-two scaling is exact in binary floating point
     scaled = normalize(PermeabilityField(4.0 * field.kxx, 4.0 * field.kyy))
-    assert np.array_equal(scaled.kstar_xx, base.kstar_xx)
-    assert np.array_equal(scaled.kstar_yy, base.kstar_yy)
-    assert scaled.kmax == 4.0 * base.kmax
+    assert np.array_equal(scaled.kxx, base.kxx)
+    assert np.array_equal(scaled.kyy, base.kyy)
     odd = normalize(PermeabilityField(3.7 * field.kxx, 3.7 * field.kyy))
-    np.testing.assert_allclose(odd.kstar_xx, base.kstar_xx, rtol=1e-14)
-    assert odd.kmax == pytest.approx(3.7 * base.kmax, rel=1e-15)
+    np.testing.assert_allclose(odd.kxx, base.kxx, rtol=1e-14)
+    np.testing.assert_allclose(odd.kyy, base.kyy, rtol=1e-14)
+
+
+#: Grids, contrast pairs and seeds of the generator byte pins; the grids
+#: include single rows and columns, where some contrasts cannot be realized.
+FIELD_GRIDS = ((1, 1), (1, 4), (4, 1), (2, 2), (3, 5), (13, 7), (20, 20))
+FIELD_CONTRASTS = ((1.0, 1.0), (1.0, 10.0), (10.0, 1.0), (1e5, 1e3), (123.0, 7.5))
+FIELD_SEEDS = (0, 3, 11)
+
+#: SHA-256 over every case's kxx and kyy bytes, or its error message, from
+#: the per-pattern generators the single log-graded map replaced.
+FIELD_DIGESTS = {
+    "layered": "985f23754bb0e70b3867cc1a395dd5ab3b50bd5a0baa247fca4add0d83d0f338",
+    "checkerboard": "fd048af94ad0ffeb75a7583c90afb3564c84bd2fdddfc5ce8ad10c95d1a0cdcb",
+    "lognormal": "913c30998e33576b8098610c3c8de65809742b7d06fae8c902e71fde13692406",
+}
+
+
+@pytest.mark.parametrize("pattern", FIELD_DIGESTS)
+def test_generated_field_bytes_pinned(pattern):
+    h = hashlib.sha256()
+    for nx, ny in FIELD_GRIDS:
+        for contrast_x, contrast_y in FIELD_CONTRASTS:
+            for seed in FIELD_SEEDS:
+                try:
+                    field = generate_contrast_field(
+                        build_grid(nx, ny), contrast_x, contrast_y, pattern, seed)
+                except InvalidFieldError as exc:
+                    h.update(str(exc).encode())
+                else:
+                    h.update(field.kxx.tobytes())
+                    h.update(field.kyy.tobytes())
+    assert h.hexdigest() == FIELD_DIGESTS[pattern]
 
 
 @pytest.mark.parametrize("pattern", ["layered", "checkerboard", "lognormal"])
