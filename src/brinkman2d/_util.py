@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
 import tempfile
 
@@ -27,6 +28,19 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def release_freed_heap() -> None:
+    """Hand the free pages of the malloc heap back to the OS (glibc's
+    ``malloc_trim(0)``); a no-op where libc has no ``malloc_trim``.  Once
+    glibc has freed one large block, later ones come from the heap, where a
+    freed block stays resident under whatever the process allocates next."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 def checked_square_matrix(matrix):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import NumericOverflowError
+from ._util import NumericOverflowError, release_freed_heap
 from .grid import StaggeredGrid, boundary_velocity_mask
 from .media import InvalidFieldError, PermeabilityField
 
@@ -326,6 +326,7 @@ def assemble_monolithic(
     fixed[nv] = pin_pressure  # first pressure DOF: p_0 = 0
     matrix = sp.diags((~fixed).astype(float)) @ blocks + sp.diags(fixed.astype(float))
     matrix.sort_indices()  # the sparse product and sum do not promise sorted indices
+    del momentum, blocks  # freed before the heap is released on return
 
     g = boundary_values(grid, bc)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,4 +348,5 @@ def assemble_monolithic(
             f"boundary data has net flux {flux:.3e}; the unpinned system is "
             "singular and solvable only for compatible right-hand sides"
         )
+    release_freed_heap()
     return MonolithicSystem(matrix, rhs, warnings)

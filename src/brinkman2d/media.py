@@ -145,29 +145,30 @@ def load_field(path, grid: StaggeredGrid) -> PermeabilityField:
     except UnicodeDecodeError as exc:
         raise FieldFormatError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    rows = [r for r in map(str.strip, text.split("\n")) if r and not r.startswith("#")]
+    rows = [(number, r) for number, r in enumerate(map(str.strip, text.split("\n")), 1)
+            if r and not r.startswith("#")]
     if not rows:
         raise FieldFormatError(f"{path}: empty field file")
-    head = rows[0].split()
+    (_, header), data = rows[0], rows[1:]
+    head = header.split()
     if len(head) != 2:
-        raise FieldFormatError(f"{path}: header must be 'nx ny', got {rows[0]!r}")
+        raise FieldFormatError(f"{path}: header must be 'nx ny', got {header!r}")
     try:
         nx, ny = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise FieldFormatError(f"{path}: non-integer header {rows[0]!r}") from exc
+        raise FieldFormatError(f"{path}: non-integer header {header!r}") from exc
     if (nx, ny) != (grid.nx, grid.ny):
         raise FieldFormatError(f"{path}: field is {nx}x{ny}, grid is {grid.nx}x{grid.ny}")
-    data = rows[1:]
     if len(data) != grid.n_p:
         raise FieldFormatError(f"{path}: expected {grid.n_p} data lines, found {len(data)}")
     kxx = np.empty(grid.n_p)
     kyy = np.empty(grid.n_p)
-    for n, line in enumerate(data):
+    for n, (number, line) in enumerate(data):
         parts = line.split()
         if len(parts) != 2:
-            raise FieldFormatError(f"{path}: line {n + 2} must hold two numbers, got {line!r}")
+            raise FieldFormatError(f"{path}: line {number} must hold two numbers, got {line!r}")
         try:
             kxx[n], kyy[n] = float(parts[0]), float(parts[1])
         except ValueError as exc:
-            raise FieldFormatError(f"{path}: line {n + 2} is not numeric: {line!r}") from exc
+            raise FieldFormatError(f"{path}: line {number} is not numeric: {line!r}") from exc
     return PermeabilityField(kxx, kyy)

@@ -9,19 +9,17 @@ applied to the Hessenberg once, row by row, before the triangle is
 solved by back substitution.  The Hessenberg is stored row-packed, its
 upper triangle and subdiagonal only, in one 1-D array.  The basis and
 that store are allocated once per solve and reused by every restart
-cycle.  The basis comes from ``np.empty``; the packed store lives in an
-anonymous memory mapping of its own, unmapped when the solve returns, so
-it never lands on the malloc heap, where a freed block stays resident.
-The reference path is a sparse LU
-factorization (SuperLU) used as the oracle in verification runs.  Full
-GMRES (restart = maxit) is the default, matching the replication
-setting of the regime study; restarting is exposed for experimentation.
+cycle.  Both come from ``np.empty``; the solve hands the freed heap back
+to the OS on return, where a freed block would stay resident.  The
+reference path is a sparse LU factorization (SuperLU) used as the oracle
+in verification runs.  Full GMRES (restart = maxit) is the default,
+matching the replication setting of the regime study; restarting is
+exposed for experimentation.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import time
 from dataclasses import dataclass, field
@@ -32,7 +30,7 @@ import scipy.sparse as sp
 # scipy.sparse.linalg (SuperLU, ARPACK: ~10 MB resident) is imported by
 # direct_solve alone, so a GMRES-only process never loads it
 
-from ._util import NumericOverflowError, checked_square_matrix
+from ._util import NumericOverflowError, checked_square_matrix, release_freed_heap
 
 
 class SingularMatrixError(RuntimeError):
@@ -78,9 +76,9 @@ class SolveReport:
     the returned iterate, and converged means it meets tol.  true_relres
     equals final_relres: GMRES runs unpreconditioned, so the last residual
     it takes is already the true one.  workspace_bytes is the size of the
-    ``(m+1) x n`` Krylov basis (``np.empty``) plus the packed Hessenberg
-    (``m + m(m+1)/2`` doubles, in its own anonymous mapping) the solve
-    allocated, ``m = min(restart, maxit, n)``; 0 for a zero rhs.  cycles
+    ``(m+1) x n`` Krylov basis plus the packed Hessenberg (``m + m(m+1)/2``
+    doubles), both ``np.empty`` and released to the OS on return, that the
+    solve allocated, ``m = min(restart, maxit, n)``; 0 for a zero rhs.  cycles
     counts the restart cycles run (1 for full GMRES), and breakdown is True
     when the Arnoldi process broke down, i.e. the last Krylov space was
     invariant.
@@ -127,17 +125,6 @@ def _check_basis_fits(n: int, m: int) -> None:
         )
 
 
-def _mapped_store(size: int) -> np.ndarray:
-    """``size`` zeroed doubles in an anonymous mapping of their own.
-
-    The mapping is unmapped as soon as the last view of the array goes.
-    An ``np.empty`` block of this size comes from the malloc heap once
-    glibc has raised its mmap threshold (the first freed basis does that),
-    and a freed heap block stays resident under whatever is loaded next.
-    """
-    return np.frombuffer(mmap.mmap(-1, size * 8), dtype=float)
-
-
 def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     """Solve M x = rhs by restarted GMRES from a zero initial guess.
 
@@ -148,10 +135,10 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     Raises :class:`SettingError` on ``restart`` when the Krylov basis and
     packed Hessenberg cannot fit in physical memory (the default
     ``maxit = n`` asks for an ``(n+1) x n`` basis and ``n(n+1)/2 + n``
-    Hessenberg entries).  ``SolveReport.workspace_bytes`` gives their size.
-    The packed Hessenberg is mapped for the solve alone and unmapped when
-    it returns.  Raises :class:`NumericOverflowError` when ``||b||`` or
-    some ``||A q||`` overflows double precision.
+    Hessenberg entries).  ``SolveReport.workspace_bytes`` gives their size;
+    the heap they freed goes back to the OS on return.  Raises
+    :class:`NumericOverflowError` when ``||b||`` or some ``||A q||``
+    overflows double precision.
     """
     cfg = config or SolverConfig()
     A, b = _linear_system(matrix, rhs)
@@ -168,11 +155,17 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     if not math.isfinite(b_norm):
         raise NumericOverflowError("the rhs norm ||b|| overflows double precision")
     if b_norm == 0.0:
-        x = np.zeros(n)
-        return x, SolveReport(iterations=0, converged=True, final_relres=0.0, true_relres=0.0,
-                              residual_history=np.array([0.0]),
-                              wall_time=time.perf_counter() - t0)
+        return np.zeros(n), SolveReport(iterations=0, converged=True, final_relres=0.0,
+                                        true_relres=0.0, residual_history=np.array([0.0]),
+                                        wall_time=time.perf_counter() - t0)
+    x, report = _restarted_gmres(A, b, b_norm, cfg, maxit, m_max, t0)
+    release_freed_heap()  # no view of the workspace is left
+    return x, report
 
+
+def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: int, t0: float):
+    """The cycles of :func:`gmres_solve` on its workspace; ``(x, SolveReport)``."""
+    n = b.size
     # One workspace per solve: every cycle, a shorter last one included,
     # works in the leading rows of Q and the leading columns of the
     # Hessenberg.  Only the upper triangle and the subdiagonal of H are ever
@@ -183,7 +176,7 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     Q = np.empty((m_max + 1, n))
     rows = np.arange(m_max + 1)
     base = rows * m_max - rows * (rows - 1) // 2
-    H = _mapped_store(m_max + m_max * (m_max + 1) // 2)
+    H = np.empty(m_max + m_max * (m_max + 1) // 2)
     cs, sn = np.empty(m_max), np.empty(m_max)
     omega = np.empty(m_max + 1)  # last row of the accumulated rotation factor
     x = np.zeros(n)
@@ -260,7 +253,7 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
         y = _solve_packed_upper(H, base, g[:k_used], singular)
         x = x + Q[:k_used].T @ y
 
-    report = SolveReport(
+    return x, SolveReport(
         iterations=total_iters,
         converged=final_relres <= cfg.tol,
         final_relres=final_relres,
@@ -271,7 +264,6 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
         cycles=cycles,
         breakdown=breakdown,
     )
-    return x, report
 
 
 def _solve_packed_upper(store: np.ndarray, base: np.ndarray, g: list,
@@ -303,7 +295,10 @@ def direct_solve(matrix, rhs) -> np.ndarray:
 
     Raises :class:`SingularMatrixError` on a structurally empty row or
     column, naming its index, or on an exactly singular pivot (use a
-    pinned monolithic system).
+    pinned monolithic system).  An unpinned system with compatible data
+    solves: its velocity matches the pinned solve to ~5e-11, but its
+    pressure carries an arbitrary constant (4.6e7 on a uniform 64x64 grid
+    at anna 1e5, ~3 digits lost), so pin the pressure when you need it.
     """
     import scipy.sparse.linalg as spla
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -240,6 +241,33 @@ class TestConfig:
             )
 
 
+RESTARTED_SOLVE = """
+grid.nx = 16
+grid.ny = 16
+anna = 1e5
+field.pattern = layered
+field.contrast_x = 1e5
+field.contrast_y = 1e5
+bc.gx = 1.0
+bc.gy = 0.0
+solver.tol = 1e-6
+solver.restart = 10
+output.timings = false
+output.dir = {out}
+"""
+#: The outputs of RESTARTED_SOLVE: GMRES(10) converges in 56 iterations,
+#: five full cycles and a short sixth, and every digit of the fields shows.
+RESTARTED_SOLVE_REPORT = (
+    "anna,iterations,converged,relres,divergence_max,regime,wall_ms,true_relres\n"
+    "1.00000e+05,56,true,8.24579e-07,1.01851e+01,stokes,0.00000e+00,8.24579e-07\n"
+)
+RESTARTED_SOLVE_FIELD_SHA256 = {
+    "u.txt": "ff796bf64131e21fb4638ef8b632eb13ef4f2605916ba8b99dd106bbba74d05d",
+    "v.txt": "71fd81fe5447b9186bed6ad6d7be89815f1e2808d80ab9c3005e0129d2ee4ebd",
+    "p.txt": "f29e4db6d4041655802966e197fa757cd701fcd48e27b5009aff00dd77c5b92e",
+}
+
+
 class TestSolveCommand:
     def test_uniform_flow_solution_files(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -310,6 +338,17 @@ class TestSolveCommand:
         assert main(["solve", cfg2]) == 0
         for name in ("u.txt", "v.txt", "p.txt", "report.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_restarted_solve_output_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", write_cfg(tmp_path, RESTARTED_SOLVE.format(out=out)), "--quiet"]) == 0
+        assert (out / "report.csv").read_text() == RESTARTED_SOLVE_REPORT
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in RESTARTED_SOLVE_FIELD_SHA256}
+        assert digests == RESTARTED_SOLVE_FIELD_SHA256, (
+            "the restarted solve moved a digit: if the change is meant, update the "
+            "pins and record the move in CHANGES.md"
+        )
 
     def test_nonconvergence_exits_1_but_writes_artifacts(self, tmp_path):
         out = tmp_path / "out"

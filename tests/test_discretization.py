@@ -1,9 +1,11 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import brinkman2d.discretization
 from brinkman2d import (
     BoundaryData,
     ForcingField,
@@ -374,6 +376,24 @@ class TestMonolithic:
         np.testing.assert_array_equal(system.rhs[: grid.n_velocity][interior],
                                       full_forcing[interior])
         assert np.all(system.rhs[grid.n_velocity:] == 0.0)
+
+    def test_blocks_are_dead_when_the_heap_is_released(self, monkeypatch):
+        # the block temporaries are freed before the heap goes back to the
+        # OS, once per assembly, so none of them stays resident
+        grid = build_grid(6, 5)
+        blocks, released = [], []
+        bmat = sp.bmat
+
+        def recording_bmat(*args, **kwargs):
+            result = bmat(*args, **kwargs)
+            blocks.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(sp, "bmat", recording_bmat)
+        monkeypatch.setattr(brinkman2d.discretization, "release_freed_heap",
+                            lambda: released.append([ref() for ref in blocks]))
+        assemble_monolithic(grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0))
+        assert released == [[None]]
 
     def test_drag_block_can_be_excluded(self):
         grid = build_grid(3, 3)

@@ -182,3 +182,15 @@ def test_load_format_errors(tmp_path):
     negative.write_text("2 2\n1 1\n1 -1\n1 1\n1 1\n")
     with pytest.raises(InvalidFieldError):
         load_field(negative, grid)
+
+
+@pytest.mark.parametrize("line, error", [
+    ("x 1", "line 5 is not numeric: 'x 1'"),
+    ("1", "line 5 must hold two numbers, got '1'"),
+], ids=["not-numeric", "two-numbers"])
+def test_load_error_names_the_file_line(tmp_path, line, error):
+    # a comment and a blank line above the header shift every data line
+    path = tmp_path / "field.txt"
+    path.write_text(f"# generated\n\n2 2\n1 1\n{line}\n1 1\n1 1\n")
+    with pytest.raises(FieldFormatError, match=f"field.txt: {error}$"):
+        load_field(path, build_grid(2, 2))

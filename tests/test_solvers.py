@@ -1,4 +1,6 @@
+import ctypes
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -19,7 +21,7 @@ from brinkman2d import (
     normalize,
     uniform_kstar,
 )
-from brinkman2d._util import NumericOverflowError
+from brinkman2d._util import NumericOverflowError, release_freed_heap
 from brinkman2d.solvers import SettingError
 
 MONOTONE_SLACK = 1e-14
@@ -201,31 +203,28 @@ def per_cycle_gmres_reference(A, b, cfg):
 
 
 def record_workspace(monkeypatch, fill=None):
-    """Patch ``np.empty`` and the solver's mapped-store helper to record the
-    shape of every array they allocate and, with ``fill``, to overwrite it;
-    returns the two lists ``(empty_shapes, mapped_shapes)``."""
-    empty_shapes, mapped_shapes = [], []
+    """Patch ``np.empty`` to record the shape of, and a weak reference to,
+    every array it allocates and, with ``fill``, to overwrite it; returns
+    the two lists ``(shapes, refs)``."""
+    shapes, refs = [], []
+    empty = np.empty
 
-    def recording(allocate, shapes):
-        def allocate_and_record(*args, **kwargs):
-            array = allocate(*args, **kwargs)
-            shapes.append(array.shape)
-            if fill is not None:
-                array.fill(fill)
-            return array
-        return allocate_and_record
+    def recording_empty(*args, **kwargs):
+        array = empty(*args, **kwargs)
+        shapes.append(array.shape)
+        refs.append(weakref.ref(array))
+        if fill is not None:
+            array.fill(fill)
+        return array
 
-    monkeypatch.setattr(np, "empty", recording(np.empty, empty_shapes))
-    monkeypatch.setattr(brinkman2d.solvers, "_mapped_store",
-                        recording(brinkman2d.solvers._mapped_store, mapped_shapes))
-    return empty_shapes, mapped_shapes
+    monkeypatch.setattr(np, "empty", recording_empty)
+    return shapes, refs
 
 
 def workspace_shapes(n, m):
-    """What ``gmres_solve`` allocates once per solve: with ``np.empty`` the
-    basis, ``cs``, ``sn`` and ``omega``; in its own mapping the packed
-    Hessenberg."""
-    return [(m + 1, n), (m,), (m,), (m + 1,)], [(m + m * (m + 1) // 2,)]
+    """What ``gmres_solve`` allocates with ``np.empty`` once per solve: the
+    basis, the packed Hessenberg, ``cs``, ``sn`` and ``omega``."""
+    return [(m + 1, n), (m + m * (m + 1) // 2,), (m,), (m,), (m + 1,)]
 
 
 def layered_system(nx, anna):
@@ -339,12 +338,12 @@ class TestGmres:
     def test_one_workspace_matches_per_cycle_reference(self, system, cfg, iterations, cycles,
                                                         breakdown, monkeypatch):
         # the reused basis and packed store give the same bits as a fresh
-        # dense pair per cycle; the workspace, the mapped store included, is
+        # dense pair per cycle; the workspace, the packed store included, is
         # filled with NaN when allocated, so an entry the current cycle has
         # not written (it is never cleared) would show as NaN
         A, b = system()
         x_ref, history_ref = per_cycle_gmres_reference(A, b, cfg)
-        shapes = record_workspace(monkeypatch, fill=np.nan)
+        shapes, _ = record_workspace(monkeypatch, fill=np.nan)
         x, report = gmres_solve(A, b, cfg)
         assert report.iterations == iterations
         assert (report.cycles, report.breakdown) == (cycles, breakdown)
@@ -359,7 +358,7 @@ class TestGmres:
         A, b = layered_system(8, 1e-3)
         n, m = b.size, 50
         cfg = SolverConfig(tol=1e-6, maxit=300, restart=m)
-        shapes = record_workspace(monkeypatch)
+        shapes, _ = record_workspace(monkeypatch)
         tracemalloc.start()
         try:
             _, report = gmres_solve(A, b, cfg)
@@ -377,25 +376,21 @@ class TestGmres:
         (lambda: (np.array([[1.0, 1.0], [0.0, 2.0]]), np.array([-0.5, 0.5])),
          SolverConfig(tol=1e-20, maxit=50, restart=1), True),
     ], ids=["converged", "breakdown"])
-    def test_hessenberg_mapping_is_unmapped_on_return(self, system, cfg, breakdown,
-                                                      monkeypatch):
+    def test_workspace_is_dead_when_the_heap_is_released(self, system, cfg, breakdown,
+                                                         monkeypatch):
         # a heap block freed by one solve stays resident under what the
-        # process loads next; the packed store's own mapping does not
+        # process allocates next; the heap is released once per solve, after
+        # the last view of the basis and of the packed store has gone
         A, b = system()
-        mappings = []
-        mapped_store = brinkman2d.solvers._mapped_store
-
-        def recording(size):
-            store = mapped_store(size)
-            mappings.append(weakref.ref(store.base.obj))
-            return store
-
-        monkeypatch.setattr(brinkman2d.solvers, "_mapped_store", recording)
+        shapes, refs = record_workspace(monkeypatch)
+        released = []
+        monkeypatch.setattr(brinkman2d.solvers, "release_freed_heap",
+                            lambda: released.append([ref() for ref in refs]))
         _, report = gmres_solve(A, b, cfg)
         assert report.breakdown == breakdown
         assert report.converged != breakdown
-        assert len(mappings) == 1
-        assert mappings[0]() is None
+        assert shapes == workspace_shapes(b.size, min(cfg.restart or cfg.maxit, b.size))
+        assert released == [[None] * len(shapes)]
 
     def test_workspace_bytes_on_canonical_size(self, monkeypatch):
         # full GMRES on the 20x20 grid: a 1241 x 1240 basis and a packed
@@ -671,3 +666,24 @@ def test_tol_must_be_finite_and_below_one(tol):
     with pytest.raises(SettingError, match="must be in \\(0, 1\\)") as info:
         SolverConfig(tol=tol)
     assert info.value.field == "tol"
+
+
+class TestReleaseFreedHeap:
+    def test_trims_the_whole_heap(self, monkeypatch):
+        calls = []
+        libc = types.SimpleNamespace(malloc_trim=lambda pad: calls.append(pad))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert release_freed_heap() is None
+        assert calls == [0]
+        assert libc.malloc_trim.argtypes == [ctypes.c_size_t]
+
+    def test_no_op_without_malloc_trim(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert release_freed_heap() is None
+
+    def test_no_op_when_libc_cannot_be_loaded(self, monkeypatch):
+        def fail(name):
+            raise OSError("no libc")
+
+        monkeypatch.setattr(ctypes, "CDLL", fail)
+        assert release_freed_heap() is None
