@@ -39,15 +39,7 @@ from .media import (
     uniform_kstar,
     write_field,
 )
-from .scaling import (
-    DimensionlessGroups,
-    ReferenceScales,
-    Regime,
-    classify_regime,
-    dimensionless_groups,
-    nondimensionalize,
-    redimensionalize,
-)
+from .scaling import ReferenceScales, Regime, classify_regime
 from .solvers import (
     SingularMatrixError,
     SolveReport,

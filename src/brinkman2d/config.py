@@ -1,7 +1,7 @@
 """Run configuration: flat ``key = value`` text with dotted keys.
 
 Lines starting with ``#`` (or anything after an inline ``#``) are
-comments.  Exactly one of ``anna`` / the five ``scales.*`` keys must be
+comments.  Exactly one of ``anna`` / the four ``scales.*`` keys must be
 given, and exactly one field source (``field.pattern`` with its
 parameters, or ``field.path``).  Da sweeps accept an explicit comma
 list or ``logspace:start_exp,end_exp,count``.
@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import atomic_write_text
 from .media import PATTERNS
-from .scaling import ReferenceScales, check_da_values, dimensionless_groups
+from .scaling import ReferenceScales, check_da_values
 from .solvers import SettingError, SolverConfig
 
 
@@ -52,7 +52,7 @@ def _parse_da(spec: str) -> tuple[float, ...]:
     return tuple(_parse_number(v) for v in da)
 
 
-_SCALE_KEYS = ("scales.l_ref", "scales.u_ref", "scales.mu", "scales.mu_eff", "scales.k_max")
+_SCALE_KEYS = ("scales.l_ref", "scales.mu", "scales.mu_eff", "scales.k_max")
 #: Every config key and the RunConfig field it sets; the scales.* keys
 #: are gathered into ``scales``.
 _KEYS = {
@@ -89,6 +89,11 @@ _SPELLING = {
     _parse_number: repr,
     _parse_bool: lambda value: str(value).lower(),
     _parse_da: lambda values: ",".join(map(repr, values)),
+}
+#: Keys that are gone, each with why a line that sets one must go.
+_REMOVED_KEYS = {
+    "solver.preconditioner": "GMRES always runs unpreconditioned",
+    "scales.u_ref": "solution files are dimensionless, so no velocity scale is read",
 }
 #: Keys of the field generator, left out when the field comes from ``field.path``.
 _GENERATOR_KEYS = ("field.pattern", "field.contrast_x", "field.contrast_y", "field.seed")
@@ -149,6 +154,11 @@ class RunConfig:
                 self.da_values = check_da_values(self.da_values)
             except ValueError as exc:
                 raise ConfigError("sweep.da", str(exc)) from exc
+            ratio = self.viscosity_ratio()
+            for da in self.da_values:
+                if not 0.0 < ratio * da < np.inf:
+                    raise ConfigError("sweep.da", f"anna = mu_eff/mu * Da = {ratio * da} "
+                                                  f"under- or overflows at Da = {da}")
 
     def solver_config(self) -> SolverConfig:
         """The GMRES settings of this run; a bad one raises ConfigError('solver.<field>')."""
@@ -158,14 +168,15 @@ class RunConfig:
             raise ConfigError(f"solver.{exc.field}", str(exc)) from exc
 
     def effective_anna(self) -> float:
+        """anna as given, or the one the scales block gives."""
         if self.anna is not None:
             return self.anna
-        return dimensionless_groups(self.scales).anna
+        return self.scales.anna
 
     def viscosity_ratio(self) -> float:
         """mu'/mu from the scales block; 1 when anna is given directly."""
         if self.scales is not None:
-            return self.scales.mu_eff / self.scales.mu
+            return self.scales.viscosity_ratio
         return 1.0
 
 
@@ -179,9 +190,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(line, f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "solver.preconditioner":
-            raise ConfigError(key, f"{source}:{lineno}: removed; GMRES always runs "
-                                   "unpreconditioned, delete this line")
+        if key in _REMOVED_KEYS:
+            raise ConfigError(key, f"{source}:{lineno}: removed; {_REMOVED_KEYS[key]}, "
+                                   "delete this line")
         if key not in _KEYS:
             raise ConfigError(key, f"{source}:{lineno}: unknown key")
         name, parse = _KEYS[key]
@@ -200,7 +211,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if given:
         missing = [key for key in _SCALE_KEYS if key not in values]
         if missing:
-            raise ConfigError(missing[0], "all five scales.* keys are required together")
+            raise ConfigError(missing[0], "all four scales.* keys are required together")
         try:
             values["scales"] = ReferenceScales(*(values.pop(key) for key in _SCALE_KEYS))
         except ValueError as exc:

@@ -71,23 +71,21 @@ class SolverConfig:
 class SolveReport:
     """Convergence record of one iterative solve.
 
-    residual_history holds the initial relative residual followed by one
-    entry per inner iteration.  final_relres is ||b - M x||_2 / ||b||_2 of
-    the returned iterate, and converged means it meets tol.  true_relres
-    equals final_relres: GMRES runs unpreconditioned, so the last residual
-    it takes is already the true one.  workspace_bytes is the size of the
-    ``(m+1) x n`` Krylov basis plus the packed Hessenberg (``m + m(m+1)/2``
-    doubles), both ``np.empty`` and released to the OS on return, that the
-    solve allocated, ``m = min(restart, maxit, n)``; 0 for a zero rhs.  cycles
-    counts the restart cycles run (1 for full GMRES), and breakdown is True
-    when the Arnoldi process broke down, i.e. the last Krylov space was
-    invariant.
+    residual_history holds the initial relative residual followed by the
+    Givens estimate of each inner iteration, so its last entry estimates
+    the residual of the returned iterate.  final_relres is the true
+    ||b - M x||_2 / ||b||_2 of that iterate, and converged means it meets
+    tol.  workspace_bytes is the size of the ``(m+1) x n`` Krylov basis
+    plus the packed Hessenberg (``m + m(m+1)/2`` doubles), both ``np.empty``
+    and released to the OS on return, that the solve allocated,
+    ``m = min(restart, maxit, n)``; 0 for a zero rhs.  cycles counts the
+    restart cycles run (1 for full GMRES), and breakdown is True when the
+    Arnoldi process broke down, i.e. the last Krylov space was invariant.
     """
 
     iterations: int
     converged: bool
     final_relres: float
-    true_relres: float
     residual_history: np.ndarray = field(repr=False)
     wall_time: float = 0.0
     workspace_bytes: int = 0
@@ -156,7 +154,7 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
         raise NumericOverflowError("the rhs norm ||b|| overflows double precision")
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(iterations=0, converged=True, final_relres=0.0,
-                                        true_relres=0.0, residual_history=np.array([0.0]),
+                                        residual_history=np.array([0.0]),
                                         wall_time=time.perf_counter() - t0)
     x, report = _restarted_gmres(A, b, b_norm, cfg, maxit, m_max, t0)
     release_freed_heap()  # no view of the workspace is left
@@ -257,7 +255,6 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
         iterations=total_iters,
         converged=final_relres <= cfg.tol,
         final_relres=final_relres,
-        true_relres=final_relres,  # the last residual taken is already b - A x
         residual_history=np.asarray(history),
         wall_time=time.perf_counter() - t0,
         workspace_bytes=Q.nbytes + H.nbytes,

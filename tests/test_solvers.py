@@ -321,7 +321,7 @@ class TestGmres:
         assert report.iterations == len(history_ref) - 1 == iterations
         assert report.cycles == {None: 1, 7: 43}[restart]
         assert not report.breakdown
-        assert report.true_relres == report.final_relres
+        assert report.final_relres == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         np.testing.assert_allclose(report.residual_history, history_ref, rtol=history_rtol, atol=0)
         np.testing.assert_allclose(x, x_ref, rtol=0, atol=x_rtol * np.abs(x_ref).max())
 
@@ -434,8 +434,7 @@ class TestGmres:
         assert report.iterations == 1
         assert not report.converged
         assert report.final_relres == 1.0
-        assert report.true_relres == 1.0
-        assert list(report.residual_history) == [1.0, 1.0]
+        assert list(report.residual_history) == [1.0, 1.0]  # the estimate is the true one
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("second", [None, 0, 2], ids=["e_n", "e_n+e_1", "e_n+e_3"])
