@@ -19,7 +19,6 @@ from .analysis import (
 from .config import ConfigError, RunConfig, parse_config, write_config
 from .discretization import (
     BoundaryData,
-    ForcingField,
     MonolithicSystem,
     assemble_divergence,
     assemble_drag,

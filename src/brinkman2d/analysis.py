@@ -26,12 +26,7 @@ import scipy.sparse as sp
 # direct solve never loads it
 
 from ._util import atomic_write_text, checked_square_matrix
-from .discretization import (
-    BoundaryData,
-    ForcingField,
-    assemble_divergence,
-    assemble_monolithic,
-)
+from .discretization import BoundaryData, assemble_divergence, assemble_monolithic
 from .grid import StaggeredGrid, boundary_velocity_mask, build_grid
 from .media import PermeabilityField, normalize, uniform_kstar
 from .scaling import Regime, check_da_values, classify_regime
@@ -170,22 +165,15 @@ def condition_number(matrix) -> ConditionReport:
     return _report(float(sigma[0]), float(sigma[-1]))
 
 
-def eigen_spectrum(matrix, exclude_nullspace: bool = False) -> SpectrumReport:
-    """Dense eigendecomposition with the distance of the spectrum from 0.
-
-    With ``exclude_nullspace`` the single smallest-magnitude eigenvalue
-    (the constant-pressure mode of an unpinned system) is dropped from
-    ``min_abs_nonzero``; otherwise eigenvalues below ``NULLSPACE_TOL``
-    in magnitude are excluded.
-    """
+def eigen_spectrum(matrix) -> SpectrumReport:
+    """Dense eigendecomposition with the distance of the spectrum from 0;
+    ``min_abs_nonzero`` skips eigenvalues at or below ``NULLSPACE_TOL`` in
+    magnitude."""
     A = _checked(matrix)
     eigenvalues = np.linalg.eigvals(A.toarray() if sp.issparse(A) else A)
     mags = np.sort(np.abs(eigenvalues))
     min_abs = float(mags[0])
-    if exclude_nullspace:
-        rest = mags[1:]
-    else:
-        rest = mags[mags > NULLSPACE_TOL]
+    rest = mags[mags > NULLSPACE_TOL]
     min_nonzero = float(rest[0]) if rest.size else math.nan
     return SpectrumReport(eigenvalues, min_abs, min_nonzero)
 
@@ -336,22 +324,14 @@ def mms_pressure_gradient(x, y):
     return -pi * np.sin(pi * x) * np.cos(pi * y), -pi * np.cos(pi * x) * np.sin(pi * y)
 
 
-def mms_forcing(grid: StaggeredGrid, anna: float, kstar_value: float) -> ForcingField:
-    """Force density that makes the manufactured pair an exact solution."""
-
-    def f_u(x, y):
-        u, _ = mms_velocity(x, y)
-        lap_u, _ = mms_velocity_laplacian(x, y)
-        dpdx, _ = mms_pressure_gradient(x, y)
-        return -anna * lap_u + u / kstar_value + dpdx
-
-    def f_v(x, y):
-        _, v = mms_velocity(x, y)
-        _, lap_v = mms_velocity_laplacian(x, y)
-        _, dpdy = mms_pressure_gradient(x, y)
-        return -anna * lap_v + v / kstar_value + dpdy
-
-    return ForcingField.from_functions(grid, f_u, f_v)
+def mms_forcing(grid: StaggeredGrid, anna: float) -> np.ndarray:
+    """Force density on the velocity faces (u faces, then v faces) that
+    makes the manufactured pair an exact solution with K* = 1."""
+    parts = []
+    for k, (x, y) in enumerate((grid.u_coords(), grid.v_coords())):
+        parts.append(-anna * mms_velocity_laplacian(x, y)[k] + mms_velocity(x, y)[k]
+                     + mms_pressure_gradient(x, y)[k])
+    return np.concatenate(parts)
 
 
 def _velocity_error(grid: StaggeredGrid, solution: np.ndarray) -> float:
@@ -374,7 +354,7 @@ def manufactured_run(grid_sizes, anna: float) -> ConvergenceStudy:
     vel_errors = []
     for n in sizes:
         grid = build_grid(n, n)
-        forcing = mms_forcing(grid, anna, 1.0)
+        forcing = mms_forcing(grid, anna)
         bc = BoundaryData.uniform(grid, 0.0, 0.0)  # manufactured velocity vanishes on walls
         system = assemble_monolithic(grid, uniform_kstar(grid), anna, bc, forcing=forcing,
                                      pin_pressure=True)
@@ -422,7 +402,7 @@ def limit_checks(
     darcy_rel = _relative_difference(x_full, x_oracle, "Darcy")
 
     ones = uniform_kstar(grid)
-    lid = BoundaryData.lid_driven(grid)
+    lid = BoundaryData(0.0, 0.0, lid=1.0)
     full_s = assemble_monolithic(grid, ones, STOKES_LIMIT_ANNA, lid, pin_pressure=True)
     oracle_s = assemble_monolithic(
         grid, ones, STOKES_LIMIT_ANNA, lid, pin_pressure=True, include_drag=False

@@ -68,8 +68,6 @@ def run_solve(config: RunConfig, quiet: bool = False) -> int:
     bc = BoundaryData.uniform(grid, config.gx, config.gy)
     anna = config.effective_anna()
     system = assemble_monolithic(grid, kstar, anna, bc, pin_pressure=config.pin_pressure)
-    for warning in system.warnings:
-        _say(quiet, f"warning: {warning}")
 
     x, report = gmres_solve(system.matrix, system.rhs, config.solver_config())
     div_max = analysis.check_divergence(grid, x[: grid.n_velocity])
@@ -102,6 +100,10 @@ def run_solve(config: RunConfig, quiet: bool = False) -> int:
 def run_sweep(config: RunConfig, quiet: bool = False) -> int:
     if config.da_values is None:
         raise ConfigError("sweep.da", "a sweep requires a da list")
+    if config.anna is not None and config.anna != 1.0:
+        raise ConfigError("anna", f"a sweep takes anna from sweep.da, so anna = {config.anna} "
+                                  "would be ignored; set anna = 1.0, or give a scales block "
+                                  "for another viscosity ratio")
     grid = build_grid(config.nx, config.ny)
     field = _field_for(config, grid)
     bc = BoundaryData.uniform(grid, config.gx, config.gy)

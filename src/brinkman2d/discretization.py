@@ -21,6 +21,7 @@ the data part is returned as a separate boundary-contribution vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,124 +31,40 @@ from ._util import NumericOverflowError, release_freed_heap
 from .grid import StaggeredGrid, boundary_velocity_mask
 from .media import InvalidFieldError, PermeabilityField
 
-#: |net boundary flux| above this (relative to the data magnitude) marks
-#: boundary data as incompatible with the divergence constraint.
-COMPATIBILITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dirichlet velocity data on the four walls.
+    """Dirichlet velocity data on the four walls, three finite numbers.
 
-    Normal components sit on the boundary faces themselves (u_left,
-    u_right over j; v_bottom, v_top over i).  Tangential components are
-    wall traces used by the ghost reflection: u along the bottom/top
-    walls (indexed like u-faces, length nx+1) and v along the left/right
-    walls (length ny+1).
+    Every wall carries g = (gx, gy): the normal component on the boundary
+    faces, the tangential one as the wall trace the ghost reflection
+    reads.  The top wall's tangential u is ``gx + lid`` (a sliding lid).
     """
 
-    u_left: np.ndarray
-    u_right: np.ndarray
-    v_bottom: np.ndarray
-    v_top: np.ndarray
-    u_bottom: np.ndarray
-    u_top: np.ndarray
-    v_left: np.ndarray
-    v_right: np.ndarray
+    gx: float
+    gy: float
+    lid: float = 0.0
 
     def __post_init__(self):
-        for name in ("u_left", "u_right", "v_bottom", "v_top",
-                     "u_bottom", "u_top", "v_left", "v_right"):
-            arr = np.asarray(getattr(self, name), dtype=float).ravel()
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"boundary data {name} must be finite")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name in ("gx", "gy", "lid"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"boundary data {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def uniform(cls, grid: StaggeredGrid, gx: float, gy: float) -> "BoundaryData":
-        """Constant inflow g = (gx, gy) on the whole boundary."""
-        nx, ny = grid.nx, grid.ny
-        return cls(
-            u_left=np.full(ny, gx),
-            u_right=np.full(ny, gx),
-            v_bottom=np.full(nx, gy),
-            v_top=np.full(nx, gy),
-            u_bottom=np.full(nx + 1, gx),
-            u_top=np.full(nx + 1, gx),
-            v_left=np.full(ny + 1, gy),
-            v_right=np.full(ny + 1, gy),
-        )
-
-    @classmethod
-    def lid_driven(cls, grid: StaggeredGrid, u_lid: float = 1.0) -> "BoundaryData":
-        """Closed cavity with a sliding top wall (tangential data only)."""
-        nx, ny = grid.nx, grid.ny
-        return cls(
-            u_left=np.zeros(ny),
-            u_right=np.zeros(ny),
-            v_bottom=np.zeros(nx),
-            v_top=np.zeros(nx),
-            u_bottom=np.zeros(nx + 1),
-            u_top=np.full(nx + 1, u_lid),
-            v_left=np.zeros(ny + 1),
-            v_right=np.zeros(ny + 1),
-        )
-
-    def validate_sizes(self, grid: StaggeredGrid) -> None:
-        expected = {
-            "u_left": grid.ny, "u_right": grid.ny,
-            "v_bottom": grid.nx, "v_top": grid.nx,
-            "u_bottom": grid.nx + 1, "u_top": grid.nx + 1,
-            "v_left": grid.ny + 1, "v_right": grid.ny + 1,
-        }
-        for name, size in expected.items():
-            got = getattr(self, name).size
-            if got != size:
-                raise ValueError(f"boundary data {name} has {got} entries, expected {size}")
-
-    def net_flux(self, grid: StaggeredGrid) -> float:
-        """Signed outward flux of g over the boundary (must vanish for solvability)."""
-        out_x = (self.u_right.sum() - self.u_left.sum()) * grid.dy
-        out_y = (self.v_top.sum() - self.v_bottom.sum()) * grid.dx
-        return float(out_x + out_y)
-
-
-@dataclass(frozen=True)
-class ForcingField:
-    """Face-centered force densities; zero in the plain flow problem."""
-
-    f_u: np.ndarray
-    f_v: np.ndarray
-
-    def __post_init__(self):
-        for name in ("f_u", "f_v"):
-            arr = np.asarray(getattr(self, name), dtype=float).ravel()
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"forcing {name} must be finite")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def zero(cls, grid: StaggeredGrid) -> "ForcingField":
-        return cls(np.zeros(grid.n_u), np.zeros(grid.n_v))
-
-    @classmethod
-    def from_functions(cls, grid: StaggeredGrid, fu, fv) -> "ForcingField":
-        """Evaluate callables fu(x, y), fv(x, y) at the face centers."""
-        xu, yu = grid.u_coords()
-        xv, yv = grid.v_coords()
-        return cls(np.asarray(fu(xu, yu), dtype=float), np.asarray(fv(xv, yv), dtype=float))
+        """Constant inflow g = (gx, gy) on the whole boundary; ``grid`` is
+        not read."""
+        return cls(gx, gy)
 
 
 @dataclass
 class MonolithicSystem:
-    """Assembled saddle-point matrix, right-hand side, and the warnings
-    raised while assembling them."""
+    """Assembled saddle-point matrix and right-hand side."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    warnings: list[str]
 
 
 def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
@@ -201,16 +118,15 @@ def laplacian_boundary_term(grid: StaggeredGrid, bc: BoundaryData) -> np.ndarray
     The discrete Laplacian of the true field at a wall-adjacent face is
     (L u)_row + term_row with term_row = 2*g_wall/h^2.
     """
-    bc.validate_sizes(grid)
     nx, ny = grid.nx, grid.ny
     idx2, idy2 = 1.0 / grid.dx**2, 1.0 / grid.dy**2
     vec = np.zeros(grid.n_velocity)
     i = np.arange(1, nx)
-    np.add.at(vec, grid.u_index(i, 0), 2.0 * idy2 * bc.u_bottom[i])
-    np.add.at(vec, grid.u_index(i, ny - 1), 2.0 * idy2 * bc.u_top[i])
+    np.add.at(vec, grid.u_index(i, 0), 2.0 * idy2 * bc.gx)
+    np.add.at(vec, grid.u_index(i, ny - 1), 2.0 * idy2 * (bc.gx + bc.lid))
     j = np.arange(1, ny)
-    np.add.at(vec, grid.v_index(0, j), 2.0 * idx2 * bc.v_left[j])
-    np.add.at(vec, grid.v_index(nx - 1, j), 2.0 * idx2 * bc.v_right[j])
+    np.add.at(vec, grid.v_index(0, j), 2.0 * idx2 * bc.gy)
+    np.add.at(vec, grid.v_index(nx - 1, j), 2.0 * idx2 * bc.gy)
     return vec
 
 
@@ -274,14 +190,13 @@ def assemble_drag(grid: StaggeredGrid, kstar: PermeabilityField) -> sp.csr_matri
 
 def boundary_values(grid: StaggeredGrid, bc: BoundaryData) -> np.ndarray:
     """Dirichlet data aligned with the boundary-normal velocity DOFs."""
-    bc.validate_sizes(grid)
     g = np.zeros(grid.n_velocity)
     j = np.arange(grid.ny)
-    g[grid.u_index(0, j)] = bc.u_left
-    g[grid.u_index(grid.nx, j)] = bc.u_right
+    g[grid.u_index(0, j)] = bc.gx
+    g[grid.u_index(grid.nx, j)] = bc.gx
     i = np.arange(grid.nx)
-    g[grid.v_index(i, 0)] = bc.v_bottom
-    g[grid.v_index(i, grid.ny)] = bc.v_top
+    g[grid.v_index(i, 0)] = bc.gy
+    g[grid.v_index(i, grid.ny)] = bc.gy
     return g
 
 
@@ -290,7 +205,7 @@ def assemble_monolithic(
     kstar: PermeabilityField,
     anna: float,
     bc: BoundaryData,
-    forcing: ForcingField | None = None,
+    forcing: np.ndarray | None = None,
     pin_pressure: bool = False,
     include_drag: bool = True,
 ) -> MonolithicSystem:
@@ -301,19 +216,23 @@ def assemble_monolithic(
     two together leave no momentum operator and raise ``ValueError``.
     With ``pin_pressure`` the first pressure row is replaced by the
     identity (p_0 = 0), removing the constant-pressure nullspace.
-    Raises :class:`NumericOverflowError` when finite inputs overflow an
-    entry of the matrix or of the rhs.
+    ``forcing`` holds one force density per velocity face, u faces then
+    v faces; without it the momentum equations are unforced.  Raises
+    :class:`NumericOverflowError` when finite inputs overflow an entry of
+    the matrix or of the rhs.
     """
     if anna < 0.0:
         raise ValueError(f"anna must be >= 0, got {anna}")
     if anna == 0.0 and not include_drag:
         raise ValueError("anna = 0 with include_drag=False leaves no momentum operator")
-    if forcing is None:
-        forcing = ForcingField.zero(grid)
-    if forcing.f_u.size != grid.n_u or forcing.f_v.size != grid.n_v:
-        raise ValueError("forcing field sized for a different grid")
-
     nv = grid.n_velocity
+    if forcing is not None:
+        forcing = np.asarray(forcing, dtype=float)
+        if forcing.shape != (nv,):
+            raise ValueError(f"forcing has shape {forcing.shape}, expected ({nv},)")
+        if not np.isfinite(forcing).all():
+            raise ValueError("forcing must be finite")
+
     with np.errstate(over="ignore"):  # an overflowed entry is named below
         momentum = (-anna) * assemble_laplacian(grid)
     if include_drag:
@@ -330,7 +249,8 @@ def assemble_monolithic(
 
     g = boundary_values(grid, bc)
     with np.errstate(over="ignore", invalid="ignore"):
-        source = np.concatenate([forcing.f_u, forcing.f_v]) + anna * laplacian_boundary_term(grid, bc)
+        source = anna * laplacian_boundary_term(grid, bc)
+        source += 0.0 if forcing is None else forcing  # + 0.0 turns a -0.0 into 0.0
     rhs = np.zeros(grid.n_total)
     rhs[:nv] = np.where(fixed[:nv], g, source)
     if not np.isfinite(matrix.data).all():
@@ -339,14 +259,5 @@ def assemble_monolithic(
         raise NumericOverflowError(
             f"the rhs overflows double precision (anna = {anna:.5e}, "
             f"largest wall value {float(np.abs(g).max()):.5e})")
-
-    warnings = []
-    flux = bc.net_flux(grid)
-    scale = max(1.0, float(np.abs(g).max()))
-    if not pin_pressure and abs(flux) > COMPATIBILITY_TOL * scale:
-        warnings.append(
-            f"boundary data has net flux {flux:.3e}; the unpinned system is "
-            "singular and solvable only for compatible right-hand sides"
-        )
     release_freed_heap()
-    return MonolithicSystem(matrix, rhs, warnings)
+    return MonolithicSystem(matrix, rhs)

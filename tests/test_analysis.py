@@ -166,7 +166,7 @@ class TestSpectrum:
         system = assemble_monolithic(
             grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0)
         )
-        report = eigen_spectrum(system.matrix, exclude_nullspace=True)
+        report = eigen_spectrum(system.matrix)
         assert report.min_abs <= 1e-10
         assert report.min_abs_nonzero > 1e-10
 
@@ -418,14 +418,21 @@ class TestManufacturedSolution:
         np.testing.assert_allclose(dpdy_fd, dpdy, atol=1e-8)
 
     def test_forcing_balances_momentum_equation(self):
+        # f = -anna lap(u) + u / K* + grad(p) with K* = 1, u faces then v faces
         grid = build_grid(5, 7)
-        anna, kstar = 0.7, 2.0
-        forcing = mms_forcing(grid, anna, kstar)
+        anna = 0.7
+        forcing = mms_forcing(grid, anna)
+        assert forcing.shape == (grid.n_velocity,)
         xu, yu = grid.u_coords()
         u, _ = mms_velocity(xu, yu)
         lap_u, _ = mms_velocity_laplacian(xu, yu)
         dpdx, _ = mms_pressure_gradient(xu, yu)
-        np.testing.assert_allclose(forcing.f_u, -anna * lap_u + u / kstar + dpdx, rtol=1e-14)
+        np.testing.assert_allclose(forcing[: grid.n_u], -anna * lap_u + u + dpdx, rtol=1e-14)
+        xv, yv = grid.v_coords()
+        _, v = mms_velocity(xv, yv)
+        _, lap_v = mms_velocity_laplacian(xv, yv)
+        _, dpdy = mms_pressure_gradient(xv, yv)
+        np.testing.assert_allclose(forcing[grid.n_u:], -anna * lap_v + v + dpdy, rtol=1e-14)
 
     def test_requires_three_grid_levels(self):
         with pytest.raises(ValueError):

@@ -484,6 +484,18 @@ class TestSweepCommand:
         solve_iters = int((solve_out / "report.csv").read_text().splitlines()[1].split(",")[1])
         assert sweep_iters == solve_iters
 
+    def test_directly_given_anna_other_than_1_exits_2(self, tmp_path, capsys):
+        # a sweep sets anna = Da per point, so another anna would be echoed
+        # in config_resolved.txt but never used
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, SWEEP_CFG.format(out=out).replace("anna = 1.0", "anna = 7.0"))
+        assert main(["sweep", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'anna': a sweep takes anna from sweep.da, "
+                              "so anna = 7.0 would be ignored")
+        assert "scales block" in err
+        assert not out.exists()
+
     def test_sweep_without_da_list_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=out))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import weakref
 
@@ -8,7 +9,6 @@ import scipy.sparse as sp
 import brinkman2d.discretization
 from brinkman2d import (
     BoundaryData,
-    ForcingField,
     InvalidFieldError,
     PermeabilityField,
     assemble_divergence,
@@ -23,7 +23,7 @@ from brinkman2d import (
     normalize,
     uniform_kstar,
 )
-from brinkman2d.discretization import COMPATIBILITY_TOL, boundary_values, drag_coefficients
+from brinkman2d.discretization import drag_coefficients
 from brinkman2d.grid import boundary_velocity_mask
 
 
@@ -93,13 +93,27 @@ class TestLaplacian:
 
     def test_boundary_term_lid_driven(self):
         grid = build_grid(5, 4)
-        vec = laplacian_boundary_term(grid, BoundaryData.lid_driven(grid, 2.0))
+        vec = laplacian_boundary_term(grid, BoundaryData(0.0, 0.0, lid=2.0))
         idy2 = 1.0 / grid.dy**2
         top = [grid.u_index(i, grid.ny - 1) for i in range(1, grid.nx)]
         assert np.allclose(vec[top], 2 * idy2 * 2.0)
         mask = np.zeros(grid.n_velocity, dtype=bool)
         mask[top] = True
         assert np.all(vec[~mask] == 0.0)
+
+
+class TestBoundaryData:
+    def test_three_numbers(self):
+        grid = build_grid(5, 4)
+        assert [f.name for f in dataclasses.fields(BoundaryData)] == ["gx", "gy", "lid"]
+        assert BoundaryData.uniform(grid, 1, -0.5) == BoundaryData(1.0, -0.5, lid=0.0)
+
+    @pytest.mark.parametrize("name", ["gx", "gy", "lid"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, name, value):
+        values = {"gx": 1.0, "gy": 0.0, "lid": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"boundary data {name} must be finite"):
+            BoundaryData(**values)
 
 
 class TestGradientDivergence:
@@ -212,14 +226,22 @@ class TestDrag:
 
 #: Digests of the drag coefficients of random K* fields (seeded per grid),
 #: from the face averages written out once per face lattice, which the
-#: single harmonic face average reproduces bit for bit.
+#: single harmonic face average reproduces bit for bit; and of the rhs of
+#: the systems at anna = 0.3 under uniform data (1, -0.5), a unit lid and
+#: uniform data with random forcing, from per-face wall data arrays.
 DRAG_DIGESTS = {
-    (1, 1): "2329fa034245829bd476f76560ccf9a099133cf0801c16de72cb965e7e74e49c",
-    (1, 3): "b5875700da9b7b605b7b63bbd2c9c5d898a9c6669bae0f7d30cf05a64dcb3509",
-    (3, 1): "3549ddad4c579cf7bfa2945974ac68c6e7b0f572372430bbdcc4aed25322fa84",
-    (4, 3): "793b5d476e2fedf3dcd319d7dbb8213604dd296199647bb7197de7dbe7fd40dd",
-    (13, 7): "27c22275091c2e9e7d8e34bc04532e00e4279877ec26f2837071b69f5fd2f428",
-    (20, 20): "e6872a50eb9b9800032f9746f987221091036c3b9207ccde4092ec894ac424a2",
+    (1, 1): ("2329fa034245829bd476f76560ccf9a099133cf0801c16de72cb965e7e74e49c",
+             "41307b20354d04c1d5af82758eee7c97a4b7857461bd474f598f9938a3911b4b"),
+    (1, 3): ("b5875700da9b7b605b7b63bbd2c9c5d898a9c6669bae0f7d30cf05a64dcb3509",
+             "30915ae8c3f70710c5f0a46845124fe5e4f7b353d56c65cc81cb28dfe815a5cc"),
+    (3, 1): ("3549ddad4c579cf7bfa2945974ac68c6e7b0f572372430bbdcc4aed25322fa84",
+             "578714b3180fff6bbfed57142c783dd0a14f18104d776da0b5d5fcabfbdf5c19"),
+    (4, 3): ("793b5d476e2fedf3dcd319d7dbb8213604dd296199647bb7197de7dbe7fd40dd",
+             "54ff5faf7c5d7826bb78ad076ed3a919ac8d77c76105a9b96cb6cadef968c793"),
+    (13, 7): ("27c22275091c2e9e7d8e34bc04532e00e4279877ec26f2837071b69f5fd2f428",
+              "083415d1e109c34f4c0314e072269d6e904d79798ba9ea770192eeabba501f87"),
+    (20, 20): ("e6872a50eb9b9800032f9746f987221091036c3b9207ccde4092ec894ac424a2",
+               "59da3b2c62de3424d7478ba2119f9cfe0236d9cd42395d3861a482139dcb024e"),
 }
 
 
@@ -228,8 +250,13 @@ def test_drag_bytes_pinned(nx, ny):
     grid = build_grid(nx, ny)
     rng = np.random.default_rng(nx * 100 + ny)
     kstar = normalize(PermeabilityField(*np.exp(rng.uniform(-12.0, 3.0, (2, grid.n_p)))))
+    forcing = rng.standard_normal(grid.n_velocity)
+    uniform = BoundaryData.uniform(grid, 1.0, -0.5)
+    rhs = hashlib.sha256()
+    for bc, f in ((uniform, None), (BoundaryData(0.0, 0.0, lid=1.0), None), (uniform, forcing)):
+        rhs.update(assemble_monolithic(grid, kstar, 0.3, bc, forcing=f).rhs.tobytes())
     digest = hashlib.sha256(drag_coefficients(grid, kstar).tobytes()).hexdigest()
-    assert digest == DRAG_DIGESTS[(nx, ny)]
+    assert (digest, rhs.hexdigest()) == DRAG_DIGESTS[(nx, ny)]
 
 
 def uniform_flow_exact_vector(grid, pinned):
@@ -347,35 +374,30 @@ class TestMonolithic:
             relres = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
             assert relres <= 1e-10
 
-    def test_incompatible_boundary_data_warns_when_unpinned(self):
-        grid = build_grid(3, 3)
-        nx, ny = grid.nx, grid.ny
-        leaky = BoundaryData(
-            u_left=np.zeros(ny), u_right=np.ones(ny),
-            v_bottom=np.zeros(nx), v_top=np.zeros(nx),
-            u_bottom=np.zeros(nx + 1), u_top=np.zeros(nx + 1),
-            v_left=np.zeros(ny + 1), v_right=np.zeros(ny + 1),
-        )
-        unpinned = assemble_monolithic(grid, uniform_kstar(grid), 1.0, leaky)
-        assert unpinned.warnings
-        pinned = assemble_monolithic(grid, uniform_kstar(grid), 1.0, leaky, pin_pressure=True)
-        assert not pinned.warnings
-        balanced = assemble_monolithic(
-            grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0)
-        )
-        assert not balanced.warnings
-
     def test_forcing_enters_interior_rhs(self):
         grid = build_grid(3, 3)
-        rng = np.random.default_rng(4)
-        forcing = ForcingField(rng.standard_normal(grid.n_u), rng.standard_normal(grid.n_v))
+        forcing = np.random.default_rng(4).standard_normal(grid.n_velocity)
         bc = BoundaryData.uniform(grid, 0.0, 0.0)
         system = assemble_monolithic(grid, uniform_kstar(grid), 1.0, bc, forcing=forcing)
         interior = ~boundary_velocity_mask(grid)
-        full_forcing = np.concatenate([forcing.f_u, forcing.f_v])
-        np.testing.assert_array_equal(system.rhs[: grid.n_velocity][interior],
-                                      full_forcing[interior])
+        np.testing.assert_array_equal(system.rhs[: grid.n_velocity][interior], forcing[interior])
         assert np.all(system.rhs[grid.n_velocity:] == 0.0)
+
+    @pytest.mark.parametrize("shape, value, match", [
+        ((39,), 0.0, r"forcing has shape \(39,\), expected \(40,\)"),
+        ((41,), 0.0, r"forcing has shape \(41,\), expected \(40,\)"),
+        ((2, 20), 0.0, r"forcing has shape \(2, 20\), expected \(40,\)"),
+        ((40,), np.nan, "forcing must be finite"),
+        ((40,), np.inf, "forcing must be finite"),
+    ], ids=["short", "long", "two-rows", "nan", "inf"])
+    def test_bad_forcing_rejected(self, shape, value, match):
+        # a forcing sized for another grid, or not finite, never reaches the rhs
+        grid = build_grid(4, 4)  # 40 velocity faces
+        forcing = np.zeros(shape)
+        forcing.flat[-1] = value
+        with pytest.raises(ValueError, match=match):
+            assemble_monolithic(grid, uniform_kstar(grid), 1.0,
+                                BoundaryData.uniform(grid, 1.0, 0.0), forcing=forcing)
 
     def test_blocks_are_dead_when_the_heap_is_released(self, monkeypatch):
         # the block temporaries are freed before the heap goes back to the
@@ -413,12 +435,10 @@ def coo_reference_assembly(grid, kstar, anna, bc, forcing=None, pin_pressure=Fal
                            include_drag=True):
     """Triplet-level assembly of the monolithic system: the blocks' COO
     triplets concatenated, boundary rows filtered out and replaced by
-    identity rows, then the pin row.  Returns ``(matrix, rhs, warnings)``."""
+    identity rows, then the pin row.  The rhs is built face by face from
+    ``(gx, gy, lid)``.  Returns ``(matrix, rhs)``."""
     nv, n = grid.n_velocity, grid.n_total
-    if forcing is None:
-        forcing = ForcingField.zero(grid)
     lap = assemble_laplacian(grid)
-    lap_bc = laplacian_boundary_term(grid, bc)
     grad = assemble_gradient(grid)
     div = assemble_divergence(grid)
 
@@ -443,10 +463,18 @@ def coo_reference_assembly(grid, kstar, anna, bc, forcing=None, pin_pressure=Fal
     cols = np.concatenate([cols, brows])
     vals = np.concatenate([vals, np.ones(brows.size)])
 
+    # 2 g_wall / h^2 on each tangential face next to a wall (ghost reflection)
+    ghost = np.zeros(nv)
+    for i in range(1, grid.nx):
+        ghost[grid.u_index(i, 0)] += 2.0 / grid.dy**2 * bc.gx
+        ghost[grid.u_index(i, grid.ny - 1)] += 2.0 / grid.dy**2 * (bc.gx + bc.lid)
+    for j in range(1, grid.ny):
+        ghost[grid.v_index(0, j)] += 2.0 / grid.dx**2 * bc.gy
+        ghost[grid.v_index(grid.nx - 1, j)] += 2.0 / grid.dx**2 * bc.gy
     rhs = np.zeros(n)
-    rhs[:nv] = np.concatenate([forcing.f_u, forcing.f_v]) + anna * lap_bc
-    g = boundary_values(grid, bc)
-    rhs[brows] = g[brows]
+    rhs[:nv] = 0.0 if forcing is None else forcing
+    rhs[:nv] += anna * ghost
+    rhs[brows] = np.where(brows < grid.n_u, bc.gx, bc.gy)  # normal data on the wall faces
 
     if pin_pressure:
         pin_row = nv  # first pressure DOF
@@ -460,16 +488,7 @@ def coo_reference_assembly(grid, kstar, anna, bc, forcing=None, pin_pressure=Fal
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     matrix.sum_duplicates()
     matrix.sort_indices()
-
-    warnings = []
-    flux = bc.net_flux(grid)
-    scale = max(1.0, float(np.abs(g).max()))
-    if not pin_pressure and abs(flux) > COMPATIBILITY_TOL * scale:
-        warnings.append(
-            f"boundary data has net flux {flux:.3e}; the unpinned system is "
-            "singular and solvable only for compatible right-hand sides"
-        )
-    return matrix, rhs, warnings
+    return matrix, rhs
 
 
 REFERENCE_GRIDS = ((1, 1), (1, 3), (3, 1), (2, 2), (4, 3), (8, 8), (13, 7), (20, 20))
@@ -489,10 +508,9 @@ def reference_fields(grid):
 
 def reference_data(grid):
     """Boundary data and forcing: uniform, lid-driven, and uniform with forcing."""
-    rng = np.random.default_rng(grid.n_total)
-    forcing = ForcingField(rng.standard_normal(grid.n_u), rng.standard_normal(grid.n_v))
+    forcing = np.random.default_rng(grid.n_total).standard_normal(grid.n_velocity)
     uniform = BoundaryData.uniform(grid, 1.0, -0.5)
-    return (uniform, None), (BoundaryData.lid_driven(grid), None), (uniform, forcing)
+    return (uniform, None), (BoundaryData(0.0, 0.0, lid=1.0), None), (uniform, forcing)
 
 
 @pytest.mark.parametrize("nx, ny", REFERENCE_GRIDS)
@@ -509,13 +527,12 @@ def test_block_assembly_matches_coo_reference_bit_for_bit(nx, ny):
                     bc, forcing = data[cases % len(data)]  # each data set in turn
                     system = assemble_monolithic(grid, kstar, anna, bc, forcing=forcing,
                                                  pin_pressure=pin, include_drag=include_drag)
-                    matrix, rhs, warnings = coo_reference_assembly(
+                    matrix, rhs = coo_reference_assembly(
                         grid, kstar, anna, bc, forcing, pin, include_drag)
                     got = system.matrix
                     for name in ("indptr", "indices", "data"):
                         assert getattr(got, name).tobytes() == getattr(matrix, name).tobytes(), name
                     assert system.rhs.tobytes() == rhs.tobytes()
-                    assert system.warnings == warnings
                     cases += 1
     assert cases >= 22
 
