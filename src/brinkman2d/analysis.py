@@ -21,16 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-# scipy.sparse.linalg (SuperLU, ARPACK: ~10 MB resident) is imported by the
-# kappa functions that use it, so a process that never asks for kappa or a
-# direct solve never loads it
+# scipy.sparse.linalg (SuperLU, ARPACK: ~10 MB resident) is imported by
+# _sigma_max and solvers._sparse_lu, so a process that never asks for kappa
+# or a direct solve never loads it
 
 from ._util import atomic_write_text, checked_square_matrix
 from .discretization import BoundaryData, assemble_divergence, assemble_monolithic
 from .grid import StaggeredGrid, boundary_velocity_mask, build_grid
 from .media import PermeabilityField, normalize, uniform_kstar
 from .scaling import Regime, check_da_values, classify_regime
-from .solvers import SolverConfig, direct_solve, gmres_solve
+from .solvers import SolverConfig, _sparse_lu, direct_solve, gmres_solve
 
 #: Largest matrix accepted for kappa / spectra.
 DENSE_DECOMP_LIMIT = 3000
@@ -108,8 +108,7 @@ def _sigma_max(n: int, matvec, rmatvec) -> float:
     import scipy.sparse.linalg as spla
 
     gram = spla.LinearOperator((n, n), matvec=lambda x: rmatvec(matvec(x)), dtype=float)
-    # 1e-14 relative on sigma is 1e-28 on its square
-    _, vectors = spla.eigsh(gram, k=1, tol=1e-28, v0=np.ones(n), rng=0)
+    _, vectors = spla.eigsh(gram, k=1, tol=1e-14, v0=np.ones(n), rng=0)
     v = vectors[:, 0]
     return float(np.linalg.norm(matvec(v)) / np.linalg.norm(v))
 
@@ -118,12 +117,10 @@ def _singular_extremes(A) -> tuple[float, float]:
     """``(sigma_max, sigma_min)`` of a sparse matrix, with
     ``sigma_min = 1 / sigma_max(A^-1)`` and ``A^-1`` applied by one sparse
     LU factor (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 15).  Raises ``RuntimeError`` when the factor is exactly singular
-    or ARPACK fails."""
-    import scipy.sparse.linalg as spla
-
+    ch. 15).  Raises ``RuntimeError`` when the factor is singular, an
+    empty row or column included, or ARPACK fails."""
     n = A.shape[0]
-    lu = spla.splu(A.tocsc())
+    lu = _sparse_lu(A)
     AT = A.T  # bound once: every A.T builds a new transpose object
     s_max = _sigma_max(n, lambda x: A @ x, lambda y: AT @ y)
     s_inv = _sigma_max(n, lu.solve, lambda y: lu.solve(y, trans="T"))
@@ -144,7 +141,7 @@ def condition_number(matrix) -> ConditionReport:
     ARPACK runs: sigma_max of ``A``, and sigma_min as
     ``1 / sigma_max(A^-1)`` through one sparse LU factor.  On the layered
     pressure-pinned sweep matrices (grids 4 to 20, contrast 1e2 and 1e5,
-    Da 1e-5..1e5) the two agree to 1e-8 relative and give the same flag;
+    Da 1e-5..1e5) the two agree to 1.2e-8 relative and give the same flag;
     on numerically singular ones, where the dense sigma_min is at SVD
     resolution, the gap grows with n to 2e-7 on the canonical 20x20
     sweep, whose 6-digit kappa values print unchanged, and 5e-6 at

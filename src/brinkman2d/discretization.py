@@ -188,18 +188,6 @@ def assemble_drag(grid: StaggeredGrid, kstar: PermeabilityField) -> sp.csr_matri
     return sp.diags(drag_coefficients(grid, kstar), format="csr")
 
 
-def boundary_values(grid: StaggeredGrid, bc: BoundaryData) -> np.ndarray:
-    """Dirichlet data aligned with the boundary-normal velocity DOFs."""
-    g = np.zeros(grid.n_velocity)
-    j = np.arange(grid.ny)
-    g[grid.u_index(0, j)] = bc.gx
-    g[grid.u_index(grid.nx, j)] = bc.gx
-    i = np.arange(grid.nx)
-    g[grid.v_index(i, 0)] = bc.gy
-    g[grid.v_index(i, grid.ny)] = bc.gy
-    return g
-
-
 def assemble_monolithic(
     grid: StaggeredGrid,
     kstar: PermeabilityField,
@@ -247,7 +235,7 @@ def assemble_monolithic(
     matrix.sort_indices()  # the sparse product and sum do not promise sorted indices
     del momentum, blocks  # freed before the heap is released on return
 
-    g = boundary_values(grid, bc)
+    g = np.repeat([bc.gx, bc.gy], [grid.n_u, grid.n_v])  # read on the fixed faces only
     with np.errstate(over="ignore", invalid="ignore"):
         source = anna * laplacian_boundary_term(grid, bc)
         source += 0.0 if forcing is None else forcing  # + 0.0 turns a -0.0 into 0.0
@@ -256,8 +244,8 @@ def assemble_monolithic(
     if not np.isfinite(matrix.data).all():
         raise NumericOverflowError(f"anna = {anna:.5e} overflows the matrix in double precision")
     if not np.isfinite(rhs).all():
-        raise NumericOverflowError(
-            f"the rhs overflows double precision (anna = {anna:.5e}, "
-            f"largest wall value {float(np.abs(g).max()):.5e})")
+        wall = max(abs(bc.gx), abs(bc.gy), abs(bc.gx + bc.lid))  # the values the rhs reads
+        raise NumericOverflowError(f"the rhs overflows double precision (anna = {anna:.5e}, "
+                                   f"largest wall value {wall:.5e})")
     release_freed_heap()
     return MonolithicSystem(matrix, rhs)

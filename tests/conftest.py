@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from brinkman2d import (
     BoundaryData,
@@ -24,3 +27,18 @@ def regime_sweep():
     bc = BoundaryData.uniform(grid, 1.0, 0.0)
     config = SolverConfig(tol=SWEEP_TOL, maxit=1240)
     return sweep_darcy(grid, field, SWEEP_DA, 1.0, bc, config, pin_pressure=False)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Every ``scipy.sparse.linalg.splu`` call from here on, as the name of
+    the calling function and the keyword arguments."""
+    calls = []
+    splu = spla.splu
+
+    def recording(*args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, kwargs))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return calls

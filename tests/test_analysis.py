@@ -108,6 +108,10 @@ class TestSparseConditionNumber:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         assert math.isfinite(condition_number(matrix).kappa)
 
+    def test_factors_once_through_the_sparse_lu_helper(self, splu_calls):
+        condition_number(pinned_matrix(8, 1e5, 1.0))
+        assert splu_calls == [("_sparse_lu", {"relax": 1, "panel_size": 1})]
+
     def test_transpose_built_once(self):
         # each Lanczos step applies A^T; binding it once gives the same
         # csc_matvec kernel, so the same kappa bits

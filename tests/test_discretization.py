@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from brinkman2d import (
     normalize,
     uniform_kstar,
 )
+from brinkman2d._util import NumericOverflowError
 from brinkman2d.discretization import drag_coefficients
 from brinkman2d.grid import boundary_velocity_mask
 
@@ -429,6 +431,16 @@ class TestMonolithic:
         expected = np.zeros_like(diff)
         expected[interior, interior] = 1.0
         assert np.array_equal(diff, expected)
+
+    @pytest.mark.parametrize("bc", [BoundaryData(0.0, 0.0, lid=1e308), BoundaryData(0.0, 1e308)],
+                             ids=["lid", "normal"])
+    def test_rhs_overflow_names_the_largest_wall_value(self, bc):
+        # the top wall's tangential data is gx + lid, so a large lid overflows
+        # the rhs as much as large normal data does
+        grid = build_grid(4, 4)
+        with pytest.raises(NumericOverflowError,
+                           match=re.escape("largest wall value 1.00000e+308")):
+            assemble_monolithic(grid, uniform_kstar(grid), 1e3, bc)
 
 
 def coo_reference_assembly(grid, kstar, anna, bc, forcing=None, pin_pressure=False,

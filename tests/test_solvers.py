@@ -22,7 +22,8 @@ from brinkman2d import (
     uniform_kstar,
 )
 from brinkman2d._util import NumericOverflowError, release_freed_heap
-from brinkman2d.solvers import SettingError
+from brinkman2d.analysis import mms_forcing
+from brinkman2d.solvers import SettingError, _sparse_lu
 
 MONOTONE_SLACK = 1e-14
 
@@ -638,6 +639,18 @@ class TestDirect:
         np.testing.assert_allclose(x, [0.5, 1.0 / 3.0, 0.25], rtol=1e-15)
         assert A.nnz == nnz
         assert np.array_equal(A.data, data)
+
+    def test_factors_once_through_the_sparse_lu_helper(self, splu_calls):
+        direct_solve(spd_tridiagonal(20), np.ones(20))
+        assert splu_calls == [("_sparse_lu", {"relax": 1, "panel_size": 1})]
+
+    def test_manufactured_64_factor_fill(self):
+        # without relaxed supernodes the factor stores 1,650,877 entries;
+        # SuperLU's defaults pad it to 1,753,897
+        grid = build_grid(64, 64)
+        system = assemble_monolithic(grid, uniform_kstar(grid), 1.0, BoundaryData(0.0, 0.0),
+                                     forcing=mms_forcing(grid, 1.0), pin_pressure=True)
+        assert _sparse_lu(system.matrix).nnz <= 1_660_000
 
     def test_pinned_uniform_flow_recovered_exactly(self):
         grid = build_grid(6, 5)
