@@ -54,8 +54,9 @@ class BoundaryData:
 
     @classmethod
     def uniform(cls, grid: StaggeredGrid, gx: float, gy: float) -> "BoundaryData":
-        """Constant inflow g = (gx, gy) on the whole boundary; ``grid`` is
-        not read."""
+        """``BoundaryData(gx, gy)``; ``grid`` is not read.  Kept only for the
+        benchmark harness (``bench/probe.py``, ``bench/test_bench.py``), which
+        calls it with this signature."""
         return cls(gx, gy)
 
 

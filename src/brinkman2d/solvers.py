@@ -136,7 +136,8 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     Hessenberg entries).  ``SolveReport.workspace_bytes`` gives their size;
     the heap they freed goes back to the OS on return.  Raises
     :class:`NumericOverflowError` when ``||b||`` or some ``||A q||``
-    overflows double precision.
+    overflows double precision.  A rhs with ``||b|| < 1`` is solved scaled
+    by an exact power of two, so that no norm underflows.
     """
     cfg = config or SolverConfig()
     A, b = _linear_system(matrix, rhs)
@@ -152,13 +153,21 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
         b_norm = float(np.linalg.norm(b))
     if not math.isfinite(b_norm):
         raise NumericOverflowError("the rhs norm ||b|| overflows double precision")
-    if b_norm == 0.0:
+    if b_norm == 0.0 and not b.any():
         return np.zeros(n), SolveReport(iterations=0, converged=True, final_relres=0.0,
                                         residual_history=np.array([0.0]),
                                         wall_time=time.perf_counter() - t0)
+    exponent = 0
+    if b_norm < 1.0:
+        # the squares in ||b|| and in the residual norms near tol may
+        # underflow: solve for b times an exact power of two, which every
+        # step of GMRES commutes with bit for bit, and scale x back
+        exponent = int(np.frexp(np.abs(b).max())[1])
+        b = np.ldexp(b, -exponent)
+        b_norm = float(np.linalg.norm(b))
     x, report = _restarted_gmres(A, b, b_norm, cfg, maxit, m_max, t0)
     release_freed_heap()  # no view of the workspace is left
-    return x, report
+    return np.ldexp(x, exponent, out=x), report
 
 
 def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: int, t0: float):

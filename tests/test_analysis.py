@@ -448,6 +448,24 @@ class TestManufacturedSolution:
         assert np.all((study.velocity_orders > 1.5) & (study.velocity_orders < 2.5))
 
 
+class TestUniformFlowError:
+    @pytest.mark.parametrize("gx, gy", [(1.0, 0.5), (1e-200, 5e-201), (1e5, -5e4), (0.0, 1e8)])
+    def test_relative_to_the_largest_wall_value(self, gx, gy):
+        # the discrete problem is linear in the wall data, so the error
+        # relative to it stays at roundoff whatever the units
+        assert analysis.uniform_flow_error(build_grid(8, 8), 1.0, gx, gy) <= 1e-13
+
+    def test_zero_wall_data_is_refused(self):
+        with pytest.raises(ValueError, match="needs nonzero wall data"):
+            analysis.uniform_flow_error(build_grid(4, 4), 1.0, 0.0, 0.0)
+
+
+def test_l2_norm_is_free_of_the_scale():
+    for scale in (1e-300, 1e-200, 1.0, 1e200, 1e300):
+        assert analysis.l2_norm(np.array([3.0, 4.0]) * scale) == pytest.approx(5.0 * scale)
+    assert analysis.l2_norm(np.zeros(3)) == 0.0
+
+
 class TestLimits:
     def test_limits_agree_with_oracles(self):
         grid = build_grid(8, 8)
@@ -457,6 +475,15 @@ class TestLimits:
         assert report.darcy_rel_diff <= 1e-3
         assert report.stokes_rel_diff <= 1e-3
         assert report.stokes_rel_diff > 0.0  # lid flow actually exercises the drag
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e5, 1e8])
+    def test_relative_differences_do_not_depend_on_the_units(self, scale):
+        grid = build_grid(8, 8)
+        field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
+        unit = limit_checks(grid, field, BoundaryData(1.0, 0.0))
+        scaled = limit_checks(grid, field, BoundaryData(scale, 0.0))
+        assert scaled.darcy_rel_diff == pytest.approx(unit.darcy_rel_diff, rel=1e-6)
+        assert scaled.stokes_rel_diff == unit.stokes_rel_diff  # lid data, not bc
 
     def test_zero_wall_data_is_refused(self):
         # both reference flows vanish, and a relative difference would be 0/0

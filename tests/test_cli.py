@@ -538,6 +538,16 @@ class TestVerifyCommand:
             assert any(ln.startswith(f"{name}: PASS") for ln in lines)
         assert (out / "verify_report.txt").read_text().count("PASS") == 6
 
+    @pytest.mark.parametrize("gx", ["1e-200", "1e-160", "1e5", "1e8"])
+    def test_verdict_does_not_depend_on_the_units_of_the_wall_data(self, tmp_path, capsys, gx):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, VERIFY_CFG.format(out=out) + f"bc.gx = {gx}\n")
+        assert main(["verify", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split(":")[0] for ln in lines if ": PASS (" in ln] == list(VERIFY_CHECKS)
+        # the detail printed at bc.gx = 1
+        assert "darcy_limit: PASS (relative difference 2.126e-06 (<= 1e-3))" in lines
+
     def test_forced_nonconvergence_fails_suite(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_cfg(

@@ -486,6 +486,27 @@ class TestGmres:
         assert report.iterations == 0
         assert report.workspace_bytes == 0
 
+    def test_rhs_whose_norm_underflows_is_solved(self):
+        # ||b||^2 underflows to 0 for a nonzero b, which is not a zero rhs
+        x, report = gmres_solve(sp.eye(3, format="csr"), [1e-200, 0.0, 0.0])
+        assert np.array_equal(x, [1e-200, 0.0, 0.0])
+        assert report.iterations == 1
+        assert report.converged
+
+    @pytest.mark.parametrize("exponent", [-1, -520, -600])
+    def test_small_rhs_solved_as_a_power_of_two_multiple(self, exponent):
+        # GMRES commutes with scaling b by an exact power of two: the same
+        # steps and residuals, x scaled by that power.  At 2^-520 the squares
+        # of the residuals near tol underflow, at 2^-600 those of b itself.
+        A, b = layered_system(6, 1.0)
+        cfg = SolverConfig(tol=1e-8)
+        x_ref, ref = gmres_solve(A, b, cfg)
+        x, report = gmres_solve(A, np.ldexp(b, exponent), cfg)
+        assert np.array_equal(x, np.ldexp(x_ref, exponent))
+        assert report.iterations == ref.iterations
+        assert report.final_relres == ref.final_relres
+        assert np.array_equal(report.residual_history, ref.residual_history)
+
     def test_maxit_exceeded_returns_best_iterate(self):
         A, b = shifted_random(50, 3)
         x, report = gmres_solve(A, b, SolverConfig(tol=1e-14, maxit=5))
