@@ -16,7 +16,7 @@ oracle.  Spectra are always dense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,8 +29,8 @@ from ._util import atomic_write_text, checked_square_matrix
 from .discretization import BoundaryData, assemble_divergence, assemble_monolithic
 from .grid import StaggeredGrid, boundary_velocity_mask, build_grid
 from .media import PermeabilityField, normalize, uniform_kstar
-from .scaling import Regime, check_da_values, classify_regime
-from .solvers import SolverConfig, _sparse_lu, direct_solve, gmres_solve
+from .scaling import check_da_values, classify_regime
+from .solvers import SolveReport, SolverConfig, _sparse_lu, direct_solve, gmres_solve
 
 #: Largest matrix accepted for kappa / spectra.
 DENSE_DECOMP_LIMIT = 3000
@@ -63,17 +63,15 @@ class SpectrumReport:
 
 @dataclass
 class RegimeRow:
+    """One sweep point: its GMRES report and a copy of the velocity block of
+    its solution; kappa is filled in by the sweep's second pass."""
+
     da: float
     anna: float
-    kappa: float | None
-    kappa_flag: str
-    iterations: int
-    final_relres: float
-    converged: bool
-    regime: Regime
-    divergence_max: float
-    velocity_norm: float
-    wall_time: float
+    report: SolveReport
+    velocity: np.ndarray = field(repr=False)
+    kappa: float | None = None
+    kappa_flag: str = "omitted"
 
 
 @dataclass
@@ -255,10 +253,10 @@ def sweep_darcy(
     and the sweep continues.
 
     The sweep runs in two passes.  The first solves every point and keeps
-    only what its row needs; the second measures every kappa.  The first
-    kappa loads SuperLU and ARPACK (~10 MB resident), so with the solves
-    done first that memory never adds to a live Krylov workspace.  The
-    second pass assembles each point's pinned matrix again.
+    its report and a copy of its velocity block; the second measures every
+    kappa.  The first kappa loads SuperLU and ARPACK (~10 MB resident), so
+    with the solves done first that memory never adds to a live Krylov
+    workspace.  The second pass assembles each point's pinned matrix again.
     """
     da = check_da_values(da_values)
     kstar = normalize(field_)
@@ -268,22 +266,7 @@ def sweep_darcy(
         anna = viscosity_ratio * value
         system = assemble_monolithic(grid, kstar, anna, bc, pin_pressure=pin_pressure)
         x, report = gmres_solve(system.matrix, system.rhs, config)
-        velocity = x[: grid.n_velocity]
-        rows.append(
-            RegimeRow(
-                da=value,
-                anna=anna,
-                kappa=None,
-                kappa_flag="omitted",
-                iterations=report.iterations,
-                final_relres=report.final_relres,
-                converged=report.converged,
-                regime=classify_regime(anna),
-                divergence_max=check_divergence(grid, velocity),
-                velocity_norm=float(np.linalg.norm(velocity)),
-                wall_time=report.wall_time,
-            )
-        )
+        rows.append(RegimeRow(value, anna, report, x[: grid.n_velocity].copy()))
 
     if with_kappa:
         for row in rows:
@@ -295,15 +278,17 @@ def sweep_darcy(
 
 
 def write_regime_csv(rows: list[RegimeRow], path, timings: bool = True) -> None:
-    """Write the sweep table; with ``timings=False`` wall_ms is zeroed so
-    repeated runs produce byte-identical files."""
+    """Write the sweep table, each regime classified from the row's anna;
+    with ``timings=False`` wall_ms is zeroed so repeated runs produce
+    byte-identical files."""
     lines = ["da,anna,kappa,kappa_flag,iterations,relres,regime,wall_ms"]
     for row in rows:
         kappa = "" if row.kappa is None else f"{row.kappa:.5e}"
-        wall_ms = row.wall_time * 1e3 if timings else 0.0
+        report = row.report
+        wall_ms = report.wall_time * 1e3 if timings else 0.0
         lines.append(
-            f"{row.da:.5e},{row.anna:.5e},{kappa},{row.kappa_flag},"
-            f"{row.iterations},{row.final_relres:.5e},{row.regime.value},{wall_ms:.5e}"
+            f"{row.da:.5e},{row.anna:.5e},{kappa},{row.kappa_flag},{report.iterations},"
+            f"{report.final_relres:.5e},{classify_regime(row.anna).value},{wall_ms:.5e}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")
 

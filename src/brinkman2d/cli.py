@@ -124,10 +124,10 @@ def run_sweep(config: RunConfig, quiet: bool = False) -> int:
     for row in rows:
         _say(
             quiet,
-            f"da={row.da:.1e} anna={row.anna:.1e} iters={row.iterations} "
-            f"relres={row.final_relres:.2e} regime={row.regime.value}",
+            f"da={row.da:.1e} anna={row.anna:.1e} iters={row.report.iterations} "
+            f"relres={row.report.final_relres:.2e} regime={classify_regime(row.anna).value}",
         )
-    return 0 if all(row.converged for row in rows) else 1
+    return 0 if all(row.report.converged for row in rows) else 1
 
 
 def run_gen_field(config: RunConfig, quiet: bool = False) -> int:

@@ -174,14 +174,25 @@ def drag_coefficients(grid: StaggeredGrid, kstar: PermeabilityField) -> np.ndarr
     """Per-face inverse permeability 1/K* (diagonal of the drag block).
 
     Faces between two cells use the harmonic mean of the adjacent cell
-    values; domain-boundary faces use the single adjacent cell.
+    values; domain-boundary faces use the single adjacent cell.  Raises
+    :class:`NumericOverflowError` when a face value underflows so far that
+    its drag is infinite: the product in the harmonic mean of two cells
+    below ~1e-162 underflows to 0.
     """
     if kstar.kxx.size != grid.n_p:
         raise InvalidFieldError(
             f"normalized field sized for {kstar.kxx.size} cells, grid has {grid.n_p}")
     face_u = _harmonic_faces(kstar.kxx.reshape(grid.ny, grid.nx).T).T
     face_v = _harmonic_faces(kstar.kyy.reshape(grid.ny, grid.nx))
-    return 1.0 / np.concatenate([face_u.ravel(), face_v.ravel()])
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite drag is named below
+        drag = 1.0 / np.concatenate([face_u.ravel(), face_v.ravel()])
+    infinite = np.count_nonzero(np.isinf(drag))
+    if infinite:
+        smallest = min(kstar.kxx.min(), kstar.kyy.min())
+        raise NumericOverflowError(
+            f"the drag 1/K* overflows double precision on {infinite} faces "
+            f"(the field's smallest normalized K* is {smallest:.5e})")
+    return drag
 
 
 def assemble_drag(grid: StaggeredGrid, kstar: PermeabilityField) -> sp.csr_matrix:

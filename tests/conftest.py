@@ -1,3 +1,6 @@
+import ctypes
+import glob
+import os
 import sys
 
 import numpy as np
@@ -19,12 +22,33 @@ SWEEP_DA = tuple(float(v) for v in np.logspace(-5, 5, 11))
 SWEEP_TOL = 1e-6
 
 
+def blas_info() -> str:
+    """The core and thread count of the OpenBLAS bundled with numpy, read
+    through ctypes, or "unknown" where that library or its symbols are
+    absent.  The byte pins hold on one core and thread split: OpenBLAS sums
+    in another order on another, which moves the last digits of a relres."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas*")
+    try:
+        lib = ctypes.CDLL(sorted(glob.glob(pattern))[0])
+        corename = lib.scipy_openblas_get_corename64_
+        threads = lib.scipy_openblas_get_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype, threads.restype = ctypes.c_char_p, ctypes.c_int
+    return f"OpenBLAS core {corename().decode()}, {threads()} threads"
+
+
+def pytest_report_header(config):
+    return f"blas: {blas_info()}"
+
+
 @pytest.fixture(scope="session")
 def regime_sweep():
     """The canonical high-contrast sweep; computed once per session."""
     grid = build_grid(20, 20)
     field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
-    bc = BoundaryData.uniform(grid, 1.0, 0.0)
+    bc = BoundaryData(1.0, 0.0)
     config = SolverConfig(tol=SWEEP_TOL, maxit=1240)
     return sweep_darcy(grid, field, SWEEP_DA, 1.0, bc, config, pin_pressure=False)
 

@@ -31,7 +31,7 @@ from brinkman2d.analysis import (
     mms_velocity,
     mms_velocity_laplacian,
 )
-from conftest import SWEEP_TOL
+from conftest import SWEEP_TOL, blas_info
 
 
 #: ``regime_table.csv`` of the canonical sweep (the session ``regime_sweep``)
@@ -70,7 +70,7 @@ class TestConditionNumber:
         assert report.numerically_singular
         grid = build_grid(4, 4)
         unpinned = assemble_monolithic(
-            grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0)
+            grid, uniform_kstar(grid), 1.0, BoundaryData(1.0, 0.0)
         )
         assert condition_number(unpinned.matrix).numerically_singular
 
@@ -85,7 +85,7 @@ def pinned_matrix(n, contrast, anna):
     grid = build_grid(n, n)
     field = generate_contrast_field(grid, contrast, contrast, "layered", 0)
     return assemble_monolithic(
-        grid, normalize(field), anna, BoundaryData.uniform(grid, 1.0, 0.0), pin_pressure=True
+        grid, normalize(field), anna, BoundaryData(1.0, 0.0), pin_pressure=True
     ).matrix
 
 
@@ -168,7 +168,7 @@ class TestSpectrum:
     def test_unpinned_system_has_numerical_nullspace(self):
         grid = build_grid(4, 4)
         system = assemble_monolithic(
-            grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0)
+            grid, uniform_kstar(grid), 1.0, BoundaryData(1.0, 0.0)
         )
         report = eigen_spectrum(system.matrix)
         assert report.min_abs <= 1e-10
@@ -178,7 +178,7 @@ class TestSpectrum:
         # smallest singular value lower-bounds every |eigenvalue|
         grid = build_grid(1, 1)
         system = assemble_monolithic(
-            grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0),
+            grid, uniform_kstar(grid), 1.0, BoundaryData(1.0, 0.0),
             pin_pressure=True,
         )
         n = system.matrix.shape[0]
@@ -204,7 +204,7 @@ class TestCheckDivergence:
         grid = build_grid(8, 8)
         field = generate_contrast_field(grid, 1e3, 1e3, "layered", 0)
         system = assemble_monolithic(
-            grid, normalize(field), 1.0, BoundaryData.uniform(grid, 1.0, 0.0),
+            grid, normalize(field), 1.0, BoundaryData(1.0, 0.0),
             pin_pressure=True,
         )
         x = np.asarray(np.linalg.solve(system.matrix.toarray(), system.rhs))
@@ -219,7 +219,7 @@ class TestSweep:
     def small_setup(self):
         grid = build_grid(6, 6)
         field = generate_contrast_field(grid, 100.0, 100.0, "layered", 0)
-        bc = BoundaryData.uniform(grid, 1.0, 0.0)
+        bc = BoundaryData(1.0, 0.0)
         return grid, field, bc
 
     def test_row_per_da_point(self):
@@ -244,9 +244,15 @@ class TestSweep:
         config = SolverConfig(tol=1e-6)
         rows = sweep_darcy(grid, field, (1.0,), 1.0, bc, config)
         system = assemble_monolithic(grid, normalize(field), 1.0, bc)
-        _, report = gmres_solve(system.matrix, system.rhs, config)
-        assert rows[0].iterations == report.iterations
-        assert rows[0].final_relres == report.final_relres
+        x, report = gmres_solve(system.matrix, system.rhs, config)
+        kept = rows[0].report
+        assert (kept.iterations, kept.final_relres, kept.cycles, kept.breakdown,
+                kept.workspace_bytes) == (report.iterations, report.final_relres,
+                                          report.cycles, report.breakdown,
+                                          report.workspace_bytes)
+        assert kept.residual_history.tobytes() == report.residual_history.tobytes()
+        assert rows[0].velocity.tobytes() == x[: grid.n_velocity].tobytes()
+        assert rows[0].velocity.base is None  # a copy: the row keeps no view of x
 
     def test_kappa_computed_on_pinned_matrix(self):
         grid, field, bc = self.small_setup()
@@ -304,7 +310,7 @@ class TestSweep:
         rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc,
                             SolverConfig(tol=1e-6, maxit=2))
         assert len(rows) == 3
-        assert not any(r.converged for r in rows)
+        assert not any(r.report.converged for r in rows)
 
     def test_da_validation(self):
         grid, field, bc = self.small_setup()
@@ -318,13 +324,16 @@ class TestSweep:
             with pytest.raises(ValueError, match="finite"):
                 sweep_darcy(grid, field, (1.0, bad), 1.0, bc, SolverConfig())
 
-    def test_regime_column(self):
+    def test_regime_column(self, tmp_path):
         grid, field, bc = self.small_setup()
         rows = sweep_darcy(grid, field, (1e-5, 1.0, 1e5), 1.0, bc, SolverConfig())
-        assert [r.regime.value for r in rows] == ["darcy", "brinkman", "stokes"]
+        path = tmp_path / "table.csv"
+        write_regime_csv(rows, path)
+        lines = path.read_text().splitlines()[1:]
+        assert [line.split(",")[6] for line in lines] == ["darcy", "brinkman", "stokes"]
 
     def test_replication_sequence(self, regime_sweep):
-        assert [row.iterations for row in regime_sweep] == \
+        assert [row.report.iterations for row in regime_sweep] == \
             [1142, 1142, 1142, 1129, 1019, 828, 546, 314, 126, 44, 37]
         assert [row.kappa_flag for row in regime_sweep] == \
             ["pinned"] * 9 + ["pinned-singular"] * 2
@@ -338,15 +347,16 @@ class TestSweep:
     )
     def test_converged_rows_divergence_within_tolerance(self, regime_sweep):
         for row in regime_sweep:
-            if row.converged:
-                assert row.divergence_max <= 10.0 * SWEEP_TOL * row.velocity_norm
+            if row.report.converged:
+                assert check_divergence(build_grid(20, 20), row.velocity) <= \
+                    10.0 * SWEEP_TOL * analysis.l2_norm(row.velocity)
 
 
 class TestCsvOutput:
     def test_regime_csv_format(self, tmp_path):
         grid = build_grid(6, 6)
         field = generate_contrast_field(grid, 100.0, 100.0, "layered", 0)
-        bc = BoundaryData.uniform(grid, 1.0, 0.0)
+        bc = BoundaryData(1.0, 0.0)
         rows = sweep_darcy(grid, field, (1e-1, 1e1), 1.0, bc, SolverConfig())
         path = tmp_path / "table.csv"
         write_regime_csv(rows, path, timings=False)
@@ -364,13 +374,14 @@ class TestCsvOutput:
         write_regime_csv(regime_sweep, path, timings=False)
         assert path.read_text().splitlines() == CANONICAL_REGIME_TABLE, (
             "the canonical regime_table.csv moved a digit: if the change is meant, "
-            "update CANONICAL_REGIME_TABLE and record the move in CHANGES.md"
+            "update CANONICAL_REGIME_TABLE and record the move in CHANGES.md "
+            f"(BLAS: {blas_info()})"
         )
 
     def test_regime_csv_omitted_kappa_blank(self, tmp_path, monkeypatch):
         grid = build_grid(6, 6)
         field = generate_contrast_field(grid, 10.0, 10.0, "layered", 0)
-        bc = BoundaryData.uniform(grid, 1.0, 0.0)
+        bc = BoundaryData(1.0, 0.0)
         monkeypatch.setattr(analysis, "DENSE_DECOMP_LIMIT", grid.n_total - 1)
         rows = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
         path = tmp_path / "table.csv"
@@ -470,7 +481,7 @@ class TestLimits:
     def test_limits_agree_with_oracles(self):
         grid = build_grid(8, 8)
         field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
-        bc = BoundaryData.uniform(grid, 1.0, 0.0)
+        bc = BoundaryData(1.0, 0.0)
         report = limit_checks(grid, field, bc)
         assert report.darcy_rel_diff <= 1e-3
         assert report.stokes_rel_diff <= 1e-3
@@ -490,12 +501,12 @@ class TestLimits:
         grid = build_grid(4, 4)
         field = generate_contrast_field(grid, 10.0, 10.0, "layered", 0)
         with pytest.raises(ValueError, match="Darcy reference flow is identically zero"):
-            limit_checks(grid, field, BoundaryData.uniform(grid, 0.0, 0.0))
+            limit_checks(grid, field, BoundaryData(0.0, 0.0))
 
     def test_darcy_oracle_is_the_zero_anna_assembly(self):
         grid = build_grid(4, 4)
         field = generate_contrast_field(grid, 10.0, 10.0, "checkerboard", 0)
-        bc = BoundaryData.uniform(grid, 1.0, 0.0)
+        bc = BoundaryData(1.0, 0.0)
         m0 = assemble_monolithic(grid, normalize(field), 0.0, bc, pin_pressure=True)
         m1 = assemble_monolithic(grid, normalize(field), 1.0, bc, pin_pressure=True)
         m2 = assemble_monolithic(grid, normalize(field), 2.0, bc, pin_pressure=True)

@@ -24,6 +24,7 @@ from brinkman2d import (
 )
 from brinkman2d.cli import VERIFY_CHECKS, main, write_scalar_field
 from brinkman2d.config import ConfigError, parse_config_text
+from conftest import blas_info
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -340,12 +341,13 @@ class TestSolveCommand:
     def test_restarted_solve_output_bytes(self, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", write_cfg(tmp_path, RESTARTED_SOLVE.format(out=out)), "--quiet"]) == 0
-        assert (out / "report.csv").read_text() == RESTARTED_SOLVE_REPORT
+        blas = f"(BLAS: {blas_info()})"
+        assert (out / "report.csv").read_text() == RESTARTED_SOLVE_REPORT, blas
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in RESTARTED_SOLVE_FIELD_SHA256}
         assert digests == RESTARTED_SOLVE_FIELD_SHA256, (
             "the restarted solve moved a digit: if the change is meant, update the "
-            "pins and record the move in CHANGES.md"
+            f"pins and record the move in CHANGES.md {blas}"
         )
 
     def test_nonconvergence_exits_1_but_writes_artifacts(self, tmp_path):
@@ -820,8 +822,13 @@ output.dir = {out}
     ("sweep", {"sweep.da": "1e308"}, "anna = 1.00000e+308 overflows the matrix"),
     ("solve", {"anna": "1e306", "bc.gx": "1e-300"},
      "the product norm ||A q|| overflows double precision at iteration 1"),
+    # the harmonic face mean 2ab/(a+b) of two cells at K* = 1e-200 underflows to 0
+    ("solve", {"field.contrast_x": "1e200", "field.contrast_y": "1e200"},
+     "the drag 1/K* overflows double precision on 6 faces"),
+    ("solve", {"field.pattern": "lognormal", "field.contrast_x": "1e300",
+               "field.contrast_y": "1e300"}, "the drag 1/K* overflows double precision"),
 ], ids=["solve-anna", "verify-anna", "solve-gx", "verify-gx", "sweep-da", "sweep-da-matrix",
-        "solve-product"])
+        "solve-product", "solve-drag", "solve-drag-lognormal"])
 def test_overflowing_finite_input_exits_2(tmp_path, capfd, command, fix, cause):
     # finite config values whose scale overflows double precision: one error
     # line, no traceback, no warning and nothing else on either stream (the

@@ -86,7 +86,7 @@ class TestLaplacian:
 
     def test_boundary_term_for_uniform_data(self):
         grid = build_grid(5, 4)
-        vec = laplacian_boundary_term(grid, BoundaryData.uniform(grid, 1.0, 0.0))
+        vec = laplacian_boundary_term(grid, BoundaryData(1.0, 0.0))
         idy2 = 1.0 / grid.dy**2
         assert vec[grid.u_index(2, 0)] == pytest.approx(2 * idy2)
         assert vec[grid.u_index(2, grid.ny - 1)] == pytest.approx(2 * idy2)
@@ -106,9 +106,8 @@ class TestLaplacian:
 
 class TestBoundaryData:
     def test_three_numbers(self):
-        grid = build_grid(5, 4)
         assert [f.name for f in dataclasses.fields(BoundaryData)] == ["gx", "gy", "lid"]
-        assert BoundaryData.uniform(grid, 1, -0.5) == BoundaryData(1.0, -0.5, lid=0.0)
+        assert BoundaryData(1, -0.5) == BoundaryData(1.0, -0.5, lid=0.0)
 
     @pytest.mark.parametrize("name", ["gx", "gy", "lid"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -253,7 +252,7 @@ def test_drag_bytes_pinned(nx, ny):
     rng = np.random.default_rng(nx * 100 + ny)
     kstar = normalize(PermeabilityField(*np.exp(rng.uniform(-12.0, 3.0, (2, grid.n_p)))))
     forcing = rng.standard_normal(grid.n_velocity)
-    uniform = BoundaryData.uniform(grid, 1.0, -0.5)
+    uniform = BoundaryData(1.0, -0.5)
     rhs = hashlib.sha256()
     for bc, f in ((uniform, None), (BoundaryData(0.0, 0.0, lid=1.0), None), (uniform, forcing)):
         rhs.update(assemble_monolithic(grid, kstar, 0.3, bc, forcing=f).rhs.tobytes())
@@ -273,14 +272,14 @@ class TestMonolithic:
     def test_replicated_system_size(self):
         grid = build_grid(20, 20)
         system = assemble_monolithic(
-            grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0)
+            grid, uniform_kstar(grid), 1.0, BoundaryData(1.0, 0.0)
         )
         assert system.matrix.shape == (1240, 1240)
 
     def test_matrix_not_symmetric(self):
         grid = build_grid(4, 4)
         system = assemble_monolithic(
-            grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0)
+            grid, uniform_kstar(grid), 1.0, BoundaryData(1.0, 0.0)
         )
         assert abs(system.matrix - system.matrix.T).max() > 0.0
 
@@ -288,7 +287,7 @@ class TestMonolithic:
     def test_uniform_flow_is_exact_discrete_solution(self, anna):
         grid = build_grid(5, 4)
         system = assemble_monolithic(
-            grid, uniform_kstar(grid), anna, BoundaryData.uniform(grid, 1.0, 0.0)
+            grid, uniform_kstar(grid), anna, BoundaryData(1.0, 0.0)
         )
         residual = system.matrix @ uniform_flow_exact_vector(grid, pinned=False) - system.rhs
         scale = abs(system.matrix).sum(axis=1).max()
@@ -300,7 +299,7 @@ class TestMonolithic:
         for n in (3, 6):
             grid = build_grid(n, n)
             system = assemble_monolithic(
-                grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0)
+                grid, uniform_kstar(grid), 1.0, BoundaryData(1.0, 0.0)
             )
             z = np.zeros(grid.n_total)
             z[grid.n_velocity:] = 1.0
@@ -311,7 +310,7 @@ class TestMonolithic:
     def test_assembly_linear_in_anna(self):
         grid = build_grid(3, 3)
         field = normalize(PermeabilityField(np.linspace(1, 2, 9), np.linspace(2, 3, 9)))
-        bc = BoundaryData.uniform(grid, 1.0, 0.0)
+        bc = BoundaryData(1.0, 0.0)
         m0 = assemble_monolithic(grid, field, 0.0, bc).matrix.toarray()
         m1 = assemble_monolithic(grid, field, 1.0, bc).matrix.toarray()
         for anna in (0.3, 2.0):
@@ -323,18 +322,18 @@ class TestMonolithic:
         grid = build_grid(3, 3)
         with pytest.raises(ValueError, match="anna = 0 with include_drag=False"):
             assemble_monolithic(grid, uniform_kstar(grid), 0.0,
-                                BoundaryData.uniform(grid, 1.0, 0.0), include_drag=False)
+                                BoundaryData(1.0, 0.0), include_drag=False)
 
     def test_negative_anna_rejected(self):
         grid = build_grid(2, 2)
         with pytest.raises(ValueError):
             assemble_monolithic(
-                grid, uniform_kstar(grid), -1.0, BoundaryData.uniform(grid, 1.0, 0.0)
+                grid, uniform_kstar(grid), -1.0, BoundaryData(1.0, 0.0)
             )
 
     def test_boundary_rows_are_identity_with_data(self):
         grid = build_grid(3, 3)
-        bc = BoundaryData.uniform(grid, 2.0, -1.0)
+        bc = BoundaryData(2.0, -1.0)
         system = assemble_monolithic(grid, uniform_kstar(grid), 1.0, bc)
         mat = system.matrix
         for row, value in (
@@ -352,7 +351,7 @@ class TestMonolithic:
     def test_pinned_row_replaces_first_pressure_equation(self):
         grid = build_grid(3, 3)
         system = assemble_monolithic(
-            grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0),
+            grid, uniform_kstar(grid), 1.0, BoundaryData(1.0, 0.0),
             pin_pressure=True,
         )
         row = grid.n_velocity
@@ -370,7 +369,7 @@ class TestMonolithic:
                 )
             )
             system = assemble_monolithic(
-                grid, field, 1.0, BoundaryData.uniform(grid, 1.0, 0.0), pin_pressure=True
+                grid, field, 1.0, BoundaryData(1.0, 0.0), pin_pressure=True
             )
             x = direct_solve(system.matrix, system.rhs)
             relres = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
@@ -379,7 +378,7 @@ class TestMonolithic:
     def test_forcing_enters_interior_rhs(self):
         grid = build_grid(3, 3)
         forcing = np.random.default_rng(4).standard_normal(grid.n_velocity)
-        bc = BoundaryData.uniform(grid, 0.0, 0.0)
+        bc = BoundaryData(0.0, 0.0)
         system = assemble_monolithic(grid, uniform_kstar(grid), 1.0, bc, forcing=forcing)
         interior = ~boundary_velocity_mask(grid)
         np.testing.assert_array_equal(system.rhs[: grid.n_velocity][interior], forcing[interior])
@@ -399,7 +398,7 @@ class TestMonolithic:
         forcing.flat[-1] = value
         with pytest.raises(ValueError, match=match):
             assemble_monolithic(grid, uniform_kstar(grid), 1.0,
-                                BoundaryData.uniform(grid, 1.0, 0.0), forcing=forcing)
+                                BoundaryData(1.0, 0.0), forcing=forcing)
 
     def test_blocks_are_dead_when_the_heap_is_released(self, monkeypatch):
         # the block temporaries are freed before the heap goes back to the
@@ -416,12 +415,12 @@ class TestMonolithic:
         monkeypatch.setattr(sp, "bmat", recording_bmat)
         monkeypatch.setattr(brinkman2d.discretization, "release_freed_heap",
                             lambda: released.append([ref() for ref in blocks]))
-        assemble_monolithic(grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0))
+        assemble_monolithic(grid, uniform_kstar(grid), 1.0, BoundaryData(1.0, 0.0))
         assert released == [[None]]
 
     def test_drag_block_can_be_excluded(self):
         grid = build_grid(3, 3)
-        bc = BoundaryData.uniform(grid, 1.0, 0.0)
+        bc = BoundaryData(1.0, 0.0)
         with_drag = assemble_monolithic(grid, uniform_kstar(grid), 1.0, bc).matrix
         without = assemble_monolithic(
             grid, uniform_kstar(grid), 1.0, bc, include_drag=False
@@ -521,7 +520,7 @@ def reference_fields(grid):
 def reference_data(grid):
     """Boundary data and forcing: uniform, lid-driven, and uniform with forcing."""
     forcing = np.random.default_rng(grid.n_total).standard_normal(grid.n_velocity)
-    uniform = BoundaryData.uniform(grid, 1.0, -0.5)
+    uniform = BoundaryData(1.0, -0.5)
     return (uniform, None), (BoundaryData(0.0, 0.0, lid=1.0), None), (uniform, forcing)
 
 

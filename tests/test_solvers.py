@@ -232,7 +232,7 @@ def layered_system(nx, anna):
     """Unpinned monolithic system on an nx x nx layered field, contrast 1e5."""
     grid = build_grid(nx, nx)
     kstar = normalize(generate_contrast_field(grid, 1e5, 1e5, "layered", 0))
-    system = assemble_monolithic(grid, kstar, anna, BoundaryData.uniform(grid, 1.0, 0.0))
+    system = assemble_monolithic(grid, kstar, anna, BoundaryData(1.0, 0.0))
     return system.matrix, system.rhs
 
 
@@ -536,7 +536,7 @@ class TestGmres:
     def test_singular_but_compatible_system(self):
         grid = build_grid(8, 8)
         system = assemble_monolithic(
-            grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0)
+            grid, uniform_kstar(grid), 1.0, BoundaryData(1.0, 0.0)
         )
         x, report = gmres_solve(system.matrix, system.rhs, SolverConfig(tol=1e-8))
         assert report.converged
@@ -676,7 +676,7 @@ class TestDirect:
     def test_pinned_uniform_flow_recovered_exactly(self):
         grid = build_grid(6, 5)
         system = assemble_monolithic(
-            grid, uniform_kstar(grid), 1.0, BoundaryData.uniform(grid, 1.0, 0.0),
+            grid, uniform_kstar(grid), 1.0, BoundaryData(1.0, 0.0),
             pin_pressure=True,
         )
         x = direct_solve(system.matrix, system.rhs)
