@@ -2,10 +2,11 @@
 manufactured-solution convergence, and limit consistency checks.
 
 The sweep reuses one normalized permeability field and varies only the
-control number anna = viscosity_ratio * Da, mirroring a fixed-contrast
-experiment.  Condition numbers are always computed on the pressure-pinned
-matrix; the unpinned matrix has an exact constant-pressure nullspace and
-its kappa is only meaningful with that mode excluded.
+control number anna, which equals Da at unit viscosity ratio, mirroring
+a fixed-contrast experiment.  Condition numbers are always computed on
+the pressure-pinned matrix; the unpinned matrix has an exact
+constant-pressure nullspace and its kappa is only meaningful with that
+mode excluded.
 
 Conditioning and spectra take matrices of at most ``DENSE_DECOMP_LIMIT``
 unknowns.  A sparse matrix gets kappa from one sparse LU factor and two
@@ -63,10 +64,9 @@ class SpectrumReport:
 
 @dataclass
 class RegimeRow:
-    """One sweep point: its GMRES report and a copy of the velocity block of
-    its solution; kappa is filled in by the sweep's second pass."""
+    """One sweep point: its anna, its GMRES report and a copy of the velocity
+    block of its solution; kappa is filled in by the sweep's second pass."""
 
-    da: float
     anna: float
     report: SolveReport
     velocity: np.ndarray = field(repr=False)
@@ -240,17 +240,16 @@ def sweep_darcy(
     grid: StaggeredGrid,
     field_: PermeabilityField,
     da_values,
-    viscosity_ratio: float,
     bc: BoundaryData,
     config: SolverConfig,
     pin_pressure: bool = False,
 ) -> list[RegimeRow]:
     """GMRES behavior across a Darcy-number sweep with one fixed field.
 
-    Each point assembles the system at anna = viscosity_ratio * da and
-    solves it; kappa (when the size permits) is measured on the
-    pressure-pinned matrix.  A non-converged point is recorded
-    and the sweep continues.
+    Each point assembles the system at anna = da (Anna's number at unit
+    viscosity ratio) and solves it; kappa (when the size permits) is
+    measured on the pressure-pinned matrix.  A non-converged point is
+    recorded and the sweep continues.
 
     The sweep runs in two passes.  The first solves every point and keeps
     its report and a copy of its velocity block; the second measures every
@@ -258,15 +257,13 @@ def sweep_darcy(
     with the solves done first that memory never adds to a live Krylov
     workspace.  The second pass assembles each point's pinned matrix again.
     """
-    da = check_da_values(da_values)
     kstar = normalize(field_)
     with_kappa = grid.n_total <= DENSE_DECOMP_LIMIT
     rows: list[RegimeRow] = []
-    for value in da:
-        anna = viscosity_ratio * value
+    for anna in check_da_values(da_values):
         system = assemble_monolithic(grid, kstar, anna, bc, pin_pressure=pin_pressure)
         x, report = gmres_solve(system.matrix, system.rhs, config)
-        rows.append(RegimeRow(value, anna, report, x[: grid.n_velocity].copy()))
+        rows.append(RegimeRow(anna, report, x[: grid.n_velocity].copy()))
 
     if with_kappa:
         for row in rows:
@@ -278,16 +275,16 @@ def sweep_darcy(
 
 
 def write_regime_csv(rows: list[RegimeRow], path, timings: bool = True) -> None:
-    """Write the sweep table, each regime classified from the row's anna;
-    with ``timings=False`` wall_ms is zeroed so repeated runs produce
-    byte-identical files."""
+    """Write the sweep table, whose da and anna columns both print the
+    row's anna, each regime classified from it; with ``timings=False``
+    wall_ms is zeroed so repeated runs produce byte-identical files."""
     lines = ["da,anna,kappa,kappa_flag,iterations,relres,regime,wall_ms"]
     for row in rows:
         kappa = "" if row.kappa is None else f"{row.kappa:.5e}"
         report = row.report
         wall_ms = report.wall_time * 1e3 if timings else 0.0
         lines.append(
-            f"{row.da:.5e},{row.anna:.5e},{kappa},{row.kappa_flag},{report.iterations},"
+            f"{row.anna:.5e},{row.anna:.5e},{kappa},{row.kappa_flag},{report.iterations},"
             f"{report.final_relres:.5e},{classify_regime(row.anna).value},{wall_ms:.5e}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -100,10 +100,12 @@ def run_solve(config: RunConfig, quiet: bool = False) -> int:
 def run_sweep(config: RunConfig, quiet: bool = False) -> int:
     if config.da_values is None:
         raise ConfigError("sweep.da", "a sweep requires a da list")
-    if config.anna is not None and config.anna != 1.0:
+    if config.scales is not None:
+        raise ConfigError("scales.l_ref", "a sweep takes anna from sweep.da, so the scales "
+                                          "block would be ignored; set anna = 1.0 instead")
+    if config.anna != 1.0:
         raise ConfigError("anna", f"a sweep takes anna from sweep.da, so anna = {config.anna} "
-                                  "would be ignored; set anna = 1.0, or give a scales block "
-                                  "for another viscosity ratio")
+                                  "would be ignored; set anna = 1.0")
     grid = build_grid(config.nx, config.ny)
     field = _field_for(config, grid)
     bc = BoundaryData(config.gx, config.gy)
@@ -111,7 +113,6 @@ def run_sweep(config: RunConfig, quiet: bool = False) -> int:
         grid,
         field,
         config.da_values,
-        config.viscosity_ratio(),
         bc,
         config.solver_config(),
         pin_pressure=config.pin_pressure,
@@ -124,7 +125,7 @@ def run_sweep(config: RunConfig, quiet: bool = False) -> int:
     for row in rows:
         _say(
             quiet,
-            f"da={row.da:.1e} anna={row.anna:.1e} iters={row.report.iterations} "
+            f"da={row.anna:.1e} anna={row.anna:.1e} iters={row.report.iterations} "
             f"relres={row.report.final_relres:.2e} regime={classify_regime(row.anna).value}",
         )
     return 0 if all(row.report.converged for row in rows) else 1

@@ -154,11 +154,6 @@ class RunConfig:
                 self.da_values = check_da_values(self.da_values)
             except ValueError as exc:
                 raise ConfigError("sweep.da", str(exc)) from exc
-            ratio = self.viscosity_ratio()
-            for da in self.da_values:
-                if not 0.0 < ratio * da < np.inf:
-                    raise ConfigError("sweep.da", f"anna = mu_eff/mu * Da = {ratio * da} "
-                                                  f"under- or overflows at Da = {da}")
 
     def solver_config(self) -> SolverConfig:
         """The GMRES settings of this run; a bad one raises ConfigError('solver.<field>')."""
@@ -172,12 +167,6 @@ class RunConfig:
         if self.anna is not None:
             return self.anna
         return self.scales.anna
-
-    def viscosity_ratio(self) -> float:
-        """mu'/mu from the scales block; 1 when anna is given directly."""
-        if self.scales is not None:
-            return self.scales.viscosity_ratio
-        return 1.0
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:

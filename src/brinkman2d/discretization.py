@@ -162,11 +162,20 @@ def assemble_divergence(grid: StaggeredGrid) -> sp.csr_matrix:
 
 def _harmonic_faces(k: np.ndarray) -> np.ndarray:
     """Values on the faces across the rows of ``k``: the harmonic mean of
-    the two adjacent rows between them, the adjacent row at both ends."""
+    the two adjacent rows between them, the adjacent row at both ends.
+
+    Where the product ``2ab`` falls below the smallest normal double, the
+    mean is taken on ``a`` and ``b`` scaled by ``2**600`` (exact) and scaled
+    back, so it keeps its digits down to where the mean itself underflows."""
     faces = np.empty((k.shape[0] + 1, k.shape[1]))
     faces[0], faces[-1] = k[0], k[-1]
     a, b = k[:-1], k[1:]
-    faces[1:-1] = 2.0 * a * b / (a + b)
+    product = 2.0 * a * b
+    faces[1:-1] = product / (a + b)
+    small = product < np.finfo(float).tiny
+    if small.any():
+        a, b = np.ldexp(a[small], 600), np.ldexp(b[small], 600)
+        faces[1:-1][small] = np.ldexp(2.0 * a * b / (a + b), -600)
     return faces
 
 
@@ -175,9 +184,10 @@ def drag_coefficients(grid: StaggeredGrid, kstar: PermeabilityField) -> np.ndarr
 
     Faces between two cells use the harmonic mean of the adjacent cell
     values; domain-boundary faces use the single adjacent cell.  Raises
-    :class:`NumericOverflowError` when a face value underflows so far that
-    its drag is infinite: the product in the harmonic mean of two cells
-    below ~1e-162 underflows to 0.
+    :class:`NumericOverflowError` when a face value is below ~5.6e-309,
+    1 / the largest double, so that its drag is infinite: a face next to a
+    cell at K* = 1e-310, say, which a field whose largest entry is 1e310
+    times its smallest holds.
     """
     if kstar.kxx.size != grid.n_p:
         raise InvalidFieldError(

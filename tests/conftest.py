@@ -17,7 +17,7 @@ from brinkman2d import (
 
 #: Replication settings for the regime sweep: 20x20 grid, layered field
 #: with contrast 1e5 in each direction, tol 1e-6, maxit 1240, full GMRES,
-#: viscosity ratio 1, Da covering 1e-5..1e5 in decades.
+#: Da (= anna) covering 1e-5..1e5 in decades.
 SWEEP_DA = tuple(float(v) for v in np.logspace(-5, 5, 11))
 SWEEP_TOL = 1e-6
 
@@ -50,7 +50,7 @@ def regime_sweep():
     field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
     bc = BoundaryData(1.0, 0.0)
     config = SolverConfig(tol=SWEEP_TOL, maxit=1240)
-    return sweep_darcy(grid, field, SWEEP_DA, 1.0, bc, config, pin_pressure=False)
+    return sweep_darcy(grid, field, SWEEP_DA, bc, config, pin_pressure=False)
 
 
 @pytest.fixture

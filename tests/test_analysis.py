@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,10 +134,11 @@ class TestSparseConditionNumber:
         # ARPACK draws a random restart vector
         assert len({condition_number(matrix).kappa for _ in range(10)}) == 1
 
-    @pytest.mark.parametrize("diagonal", [[1.0, 0.0, 1.0], [2.0]])
-    def test_exactly_singular_or_scalar_gets_dense_report(self, diagonal):
-        # splu refuses the exactly singular factor; ARPACK needs n > 1
-        matrix = np.diag(diagonal)
+    @pytest.mark.parametrize("matrix", [np.diag([1.0, 0.0, 1.0]), np.ones((2, 2)), np.diag([2.0])],
+                             ids=["diagonal-empty-row", "ones-exactly-singular", "diagonal-scalar"])
+    def test_exactly_singular_or_scalar_gets_dense_report(self, matrix):
+        # the sparse-LU helper refuses an empty row, splu the exactly singular
+        # factor of the ones matrix; ARPACK needs n > 1
         assert condition_number(sp.csr_matrix(matrix)) == condition_number(matrix)
 
     def test_arpack_no_convergence_gets_dense_report(self, monkeypatch):
@@ -224,25 +226,24 @@ class TestSweep:
 
     def test_row_per_da_point(self):
         grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc, SolverConfig())
+        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), bc, SolverConfig())
         assert len(rows) == 3
-        assert [r.da for r in rows] == [1e-2, 1.0, 1e2]
+        assert [r.anna for r in rows] == [1e-2, 1.0, 1e2]
 
-    def test_anna_equals_da_for_unit_viscosity_ratio(self):
+    def test_anna_equals_da_for_unit_viscosity_ratio(self, tmp_path):
+        # a sweep runs at unit viscosity ratio, so the table prints each
+        # point's anna in both its da and its anna column
         grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1e-3, 1e3), 1.0, bc, SolverConfig())
-        for row in rows:
-            assert row.anna == row.da
-
-    def test_viscosity_ratio_scales_anna(self):
-        grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1.0,), 0.5, bc, SolverConfig())
-        assert rows[0].anna == 0.5
+        rows = sweep_darcy(grid, field, (1e-3, 1e3), bc, SolverConfig())
+        path = tmp_path / "table.csv"
+        write_regime_csv(rows, path)
+        assert [line.split(",")[:2] for line in path.read_text().splitlines()[1:]] == \
+            [["1.00000e-03"] * 2, ["1.00000e+03"] * 2]
 
     def test_single_point_sweep_matches_standalone_solve(self):
         grid, field, bc = self.small_setup()
         config = SolverConfig(tol=1e-6)
-        rows = sweep_darcy(grid, field, (1.0,), 1.0, bc, config)
+        rows = sweep_darcy(grid, field, (1.0,), bc, config)
         system = assemble_monolithic(grid, normalize(field), 1.0, bc)
         x, report = gmres_solve(system.matrix, system.rhs, config)
         kept = rows[0].report
@@ -256,7 +257,7 @@ class TestSweep:
 
     def test_kappa_computed_on_pinned_matrix(self):
         grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
+        rows = sweep_darcy(grid, field, (1.0,), bc, SolverConfig())
         row = rows[0]
         assert row.kappa_flag in ("pinned", "pinned-singular")
         pinned = assemble_monolithic(grid, normalize(field), 1.0, bc, pin_pressure=True)
@@ -266,7 +267,7 @@ class TestSweep:
         # a system larger than the decomposition limit gets no kappa
         grid, field, bc = self.small_setup()
         monkeypatch.setattr(analysis, "DENSE_DECOMP_LIMIT", grid.n_total - 1)
-        rows = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
+        rows = sweep_darcy(grid, field, (1.0,), bc, SolverConfig())
         assert rows[0].kappa is None
         assert rows[0].kappa_flag == "omitted"
 
@@ -284,7 +285,7 @@ class TestSweep:
         monkeypatch.setattr(analysis, "gmres_solve", logging("solve", analysis.gmres_solve))
         monkeypatch.setattr(analysis, "condition_number",
                             logging("kappa", analysis.condition_number))
-        sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc, SolverConfig())
+        sweep_darcy(grid, field, (1e-2, 1.0, 1e2), bc, SolverConfig())
         assert calls == ["solve"] * 3 + ["kappa"] * 3
 
     @pytest.mark.parametrize("pin_pressure", [True, False])
@@ -298,7 +299,7 @@ class TestSweep:
             return assemble_monolithic(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "assemble_monolithic", counting)
-        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc, SolverConfig(),
+        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), bc, SolverConfig(),
                             pin_pressure=pin_pressure)
         assert pinned_flags == [pin_pressure] * 3 + [True] * 3
         for row in rows:
@@ -307,7 +308,7 @@ class TestSweep:
 
     def test_failed_point_recorded_and_sweep_continues(self):
         grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), 1.0, bc,
+        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), bc,
                             SolverConfig(tol=1e-6, maxit=2))
         assert len(rows) == 3
         assert not any(r.report.converged for r in rows)
@@ -315,18 +316,18 @@ class TestSweep:
     def test_da_validation(self):
         grid, field, bc = self.small_setup()
         with pytest.raises(ValueError):
-            sweep_darcy(grid, field, (), 1.0, bc, SolverConfig())
+            sweep_darcy(grid, field, (), bc, SolverConfig())
         with pytest.raises(ValueError):
-            sweep_darcy(grid, field, (1.0, 0.1), 1.0, bc, SolverConfig())
+            sweep_darcy(grid, field, (1.0, 0.1), bc, SolverConfig())
         with pytest.raises(ValueError):
-            sweep_darcy(grid, field, (-1.0, 1.0), 1.0, bc, SolverConfig())
+            sweep_darcy(grid, field, (-1.0, 1.0), bc, SolverConfig())
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                sweep_darcy(grid, field, (1.0, bad), 1.0, bc, SolverConfig())
+                sweep_darcy(grid, field, (1.0, bad), bc, SolverConfig())
 
     def test_regime_column(self, tmp_path):
         grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1e-5, 1.0, 1e5), 1.0, bc, SolverConfig())
+        rows = sweep_darcy(grid, field, (1e-5, 1.0, 1e5), bc, SolverConfig())
         path = tmp_path / "table.csv"
         write_regime_csv(rows, path)
         lines = path.read_text().splitlines()[1:]
@@ -337,6 +338,20 @@ class TestSweep:
             [1142, 1142, 1142, 1129, 1019, 828, 546, 314, 126, 44, 37]
         assert [row.kappa_flag for row in regime_sweep] == \
             ["pinned"] * 9 + ["pinned-singular"] * 2
+
+    def test_readme_quotes_this_sweep(self, regime_sweep):
+        # the iteration sequence and kappa endpoints README quotes, so an
+        # edit that moves them cannot leave the text stale
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+
+        def short(kappa):  # 1.53590e9 as README writes it: 1.54e9
+            mantissa, exponent = f"{kappa:.2e}".split("e")
+            return f"{mantissa}e{int(exponent)}"
+
+        iterations = ", ".join(str(row.report.iterations) for row in regime_sweep)
+        assert f"({iterations} across Da = 1e-5 ... 1e5)" in readme
+        assert (f"from {short(regime_sweep[0].kappa)} (Da = 1e-5) to "
+                f"{short(regime_sweep[-1].kappa)} (Da = 1e5)") in readme
 
     @pytest.mark.xfail(
         strict=True,
@@ -357,7 +372,7 @@ class TestCsvOutput:
         grid = build_grid(6, 6)
         field = generate_contrast_field(grid, 100.0, 100.0, "layered", 0)
         bc = BoundaryData(1.0, 0.0)
-        rows = sweep_darcy(grid, field, (1e-1, 1e1), 1.0, bc, SolverConfig())
+        rows = sweep_darcy(grid, field, (1e-1, 1e1), bc, SolverConfig())
         path = tmp_path / "table.csv"
         write_regime_csv(rows, path, timings=False)
         lines = path.read_text().splitlines()
@@ -383,7 +398,7 @@ class TestCsvOutput:
         field = generate_contrast_field(grid, 10.0, 10.0, "layered", 0)
         bc = BoundaryData(1.0, 0.0)
         monkeypatch.setattr(analysis, "DENSE_DECOMP_LIMIT", grid.n_total - 1)
-        rows = sweep_darcy(grid, field, (1.0,), 1.0, bc, SolverConfig())
+        rows = sweep_darcy(grid, field, (1.0,), bc, SolverConfig())
         path = tmp_path / "table.csv"
         write_regime_csv(rows, path)
         row = path.read_text().splitlines()[1].split(",")

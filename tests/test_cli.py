@@ -190,7 +190,6 @@ class TestConfig:
             parse_config_text(base)
         config = parse_config_text(base + scales)
         assert config.effective_anna() == pytest.approx(1e-3)
-        assert config.viscosity_ratio() == 1.0
 
     def test_field_source_exclusivity(self):
         base = "grid.nx = 2\ngrid.ny = 2\nanna = 1.0\n"
@@ -492,10 +491,27 @@ class TestSweepCommand:
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, SWEEP_CFG.format(out=out).replace("anna = 1.0", "anna = 7.0"))
         assert main(["sweep", cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'anna': a sweep takes anna from sweep.da, "
+            "so anna = 7.0 would be ignored; set anna = 1.0\n")
+        assert not out.exists()
+
+    def test_scales_block_exits_2_before_the_field_is_built(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # a sweep sets anna = Da per point, so the scales would be echoed in
+        # config_resolved.txt but never used
+        def no_field(*args, **kwargs):
+            raise AssertionError("built the field of a sweep with a scales block")
+
+        monkeypatch.setattr(brinkman2d.cli, "_field_for", no_field)
+        out = tmp_path / "out"
+        scales = "scales.l_ref = 1.0\nscales.mu = 1.0\nscales.mu_eff = 1.0\nscales.k_max = 1e-3"
+        cfg = write_cfg(tmp_path, SWEEP_CFG.format(out=out).replace("anna = 1.0", scales))
+        assert main(["sweep", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config key 'anna': a sweep takes anna from sweep.da, "
-                              "so anna = 7.0 would be ignored")
-        assert "scales block" in err
+        assert err.startswith("error: config key 'scales.l_ref': a sweep takes anna from "
+                              "sweep.da, so the scales block would be ignored")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_sweep_without_da_list_is_config_error(self, tmp_path, capsys):
@@ -549,6 +565,23 @@ class TestVerifyCommand:
         assert [ln.split(":")[0] for ln in lines if ": PASS (" in ln] == list(VERIFY_CHECKS)
         # the detail printed at bc.gx = 1
         assert "darcy_limit: PASS (relative difference 2.126e-06 (<= 1e-3))" in lines
+
+    def test_field_path_limit_checks_run_on_the_layered_1e5_field(self, tmp_path, capsys):
+        # a field file holds one grid's cells, so the 16x16 limit checks of a
+        # field.path config run on the layered contrast-1e5 field (seed 0)
+        gen = write_cfg(tmp_path, VERIFY_CFG.format(out=tmp_path / "gen"), "gen.cfg")
+        assert main(["gen-field", gen, "--quiet"]) == 0
+        capsys.readouterr()
+        source = "field.pattern = layered\nfield.contrast_x = 1e2\nfield.contrast_y = 1e2"
+        darcy = {}
+        for name, field in [("path", f"field.path = {tmp_path / 'gen' / 'field.txt'}"),
+                            ("layered", source.replace("1e2", "1e5"))]:
+            text = VERIFY_CFG.format(out=tmp_path / name).replace(source, field)
+            assert main(["verify", write_cfg(tmp_path, text, f"{name}.cfg")]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [ln.split(":")[0] for ln in lines if ": PASS (" in ln] == list(VERIFY_CHECKS)
+            darcy[name] = [ln for ln in lines if ln.startswith("darcy_limit: ")]
+        assert darcy["path"] == darcy["layered"]
 
     def test_forced_nonconvergence_fails_suite(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -639,9 +672,23 @@ class TestErrorPaths:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_key_named_in_message(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "grid.nx = 2\ngrid.ny = 2\nanna = 1.0\nsolver.magic = 3\n")
-        assert main(["solve", cfg]) == 2
-        assert "solver.magic" in capsys.readouterr().err
+        base = f"grid.nx = 2\ngrid.ny = 2\nanna = 1.0\nfield.pattern = layered\n" \
+               f"output.dir = {tmp_path / 'out'}\n"
+        for text, named in [
+            (base + "solver.magic = 3\n", "'solver.magic'"),
+            (base + "solver.tol 1e-6\n", "'solver.tol 1e-6': "),  # no '='
+            (base + "anna = 2.0\n", "'anna': "),  # given twice
+            (base + "solver.tol =\n", "'solver.tol': "),
+            (base.replace("grid.nx = 2\n", ""), "'grid.nx': grid.nx and grid.ny are required"),
+            (base.replace("grid.ny = 2\n", ""), "'grid.nx': grid.nx and grid.ny are required"),
+            (base.replace("grid.nx = 2", "grid.nx = 0"), "'grid.nx': "),
+            (base.replace("layered", "stripes"), "'field.pattern': "),
+            (base + "solver.pin_pressure = maybe\n", "'solver.pin_pressure': "),
+        ]:
+            cfg = write_cfg(tmp_path, text)
+            assert main(["solve", cfg]) == 2, text
+            assert capsys.readouterr().err.startswith(f"error: config key {named}"), text
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("solver.tol", "0.0"),
@@ -698,13 +745,7 @@ class TestErrorPaths:
          "config key 'scales.l_ref': Da = 0.0 under- or overflows double precision"),
         ({"scales.mu": "1e-10", "scales.mu_eff": "1e300"},
          "config key 'scales.l_ref': mu_eff/mu = inf under- or overflows double precision"),
-        ({"scales.mu": "1e300", "sweep.da": "1e-30,1.0"},
-         "config key 'sweep.da': anna = mu_eff/mu * Da = 0.0 under- or overflows at Da = 1e-30"),
-        ({"scales.mu": "1e-300", "sweep.da": "1.0,1e10"},
-         "config key 'sweep.da': anna = mu_eff/mu * Da = inf under- or overflows "
-         "at Da = 10000000000.0"),
-    ], ids=["da-underflow", "l_ref-squared-overflows", "ratio-overflow", "sweep-anna-underflow",
-            "sweep-anna-overflow"])
+    ], ids=["da-underflow", "l_ref-squared-overflows", "ratio-overflow"])
     def test_anna_out_of_double_range_exits_2_before_assembly(
             self, tmp_path, capsys, monkeypatch, command, fix, cause):
         # unchecked, an anna of 0 solves the pure-drag system and exits 0, and
@@ -753,11 +794,22 @@ class TestErrorPaths:
         assert not (tmp_path / "out").exists()
 
     def test_missing_field_file(self, tmp_path, capsys):
-        cfg = write_cfg(
-            tmp_path,
-            f"grid.nx = 2\ngrid.ny = 2\nanna = 1.0\nfield.path = {tmp_path}/nope.txt\n",
-        )
-        assert main(["solve", cfg]) == 2
+        # a missing file, then files the field reader refuses
+        for name, text, cause in [
+            ("nope.txt", None, "No such file"),
+            ("empty.txt", "# a comment\n\n", "empty field file"),
+            ("one.txt", "2\n1 1\n", "header must be 'nx ny', got '2'"),
+            ("float.txt", "2.0 2\n1 1\n", "non-integer header '2.0 2'"),
+        ]:
+            path = tmp_path / name
+            if text is not None:
+                path.write_text(text)
+            cfg = write_cfg(tmp_path, f"grid.nx = 2\ngrid.ny = 2\nanna = 1.0\n"
+                                      f"field.path = {path}\noutput.dir = {tmp_path / 'out'}\n")
+            assert main(["solve", cfg]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and cause in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         # a UTF-16 file with its byte-order mark, as some editors save text
@@ -813,6 +865,10 @@ output.dir = {out}
 """
 
 
+#: A 4x4 field file: one kxx of 1e300, every other kxx 1e-10, every kyy 1.
+SUBNORMAL_FIELD = "4 4\n1e300 1\n" + "1e-10 1\n" * 15
+
+
 @pytest.mark.parametrize("command, fix, cause", [
     ("solve", {"anna": "1e300"}, "the rhs norm ||b|| overflows double precision"),
     ("verify", {"anna": "1e300"}, "the rhs norm ||b|| overflows double precision"),
@@ -822,20 +878,28 @@ output.dir = {out}
     ("sweep", {"sweep.da": "1e308"}, "anna = 1.00000e+308 overflows the matrix"),
     ("solve", {"anna": "1e306", "bc.gx": "1e-300"},
      "the product norm ||A q|| overflows double precision at iteration 1"),
-    # the harmonic face mean 2ab/(a+b) of two cells at K* = 1e-200 underflows to 0
+    # drags of 1e200 and 1e300 are finite, and the first product overflows
     ("solve", {"field.contrast_x": "1e200", "field.contrast_y": "1e200"},
-     "the drag 1/K* overflows double precision on 6 faces"),
+     "the product norm ||A q|| overflows double precision at iteration 1"),
     ("solve", {"field.pattern": "lognormal", "field.contrast_x": "1e300",
-               "field.contrast_y": "1e300"}, "the drag 1/K* overflows double precision"),
+               "field.contrast_y": "1e300"},
+     "the product norm ||A q|| overflows double precision at iteration 1"),
+    # SUBNORMAL_FIELD normalizes to K* = 1e-310 in kxx, whose drag is infinite
+    ("solve", {"field.pattern": None, "field.path": "k.txt"},
+     "the drag 1/K* overflows double precision on 19 faces"),
 ], ids=["solve-anna", "verify-anna", "solve-gx", "verify-gx", "sweep-da", "sweep-da-matrix",
-        "solve-product", "solve-drag", "solve-drag-lognormal"])
-def test_overflowing_finite_input_exits_2(tmp_path, capfd, command, fix, cause):
+        "solve-product", "solve-drag", "solve-drag-lognormal", "solve-drag-subnormal-field"])
+def test_overflowing_finite_input_exits_2(tmp_path, capfd, monkeypatch, command, fix, cause):
     # finite config values whose scale overflows double precision: one error
     # line, no traceback, no warning and nothing else on either stream (the
-    # kappa of an overflowed sweep printed a LAPACK DLASCL message)
+    # kappa of an overflowed sweep printed a LAPACK DLASCL message); a key
+    # fixed to None is left out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.txt").write_text(SUBNORMAL_FIELD)
     text = OVERFLOW_BASE.format(out=tmp_path / "out")
     lines = [line for line in text.splitlines() if line.split(" =")[0] not in fix]
-    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{k} = {v}" for k, v in fix.items()]))
+    fixed = [f"{k} = {v}" for k, v in fix.items() if v is not None]
+    cfg = write_cfg(tmp_path, "\n".join(lines + fixed))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, cfg, "--quiet"])

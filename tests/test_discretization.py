@@ -208,6 +208,15 @@ class TestDrag:
         coeff = assemble_drag(grid, kstar).diagonal()
         assert coeff[grid.u_index(1, 0)] == pytest.approx(5.00005e4, rel=1e-12)
 
+    @pytest.mark.parametrize("value", [1e-161, 1e-200])
+    def test_two_tiny_cells_keep_their_drag(self, value):
+        # the product 2ab is subnormal at 1e-161 and 0 at 1e-200, but the
+        # harmonic mean of two equal cells is the cell value
+        grid = build_grid(2, 1)
+        kstar = PermeabilityField(np.full(2, value), np.ones(2))
+        coeff = assemble_drag(grid, kstar).diagonal()
+        assert coeff[grid.u_index(1, 0)] == 1.0 / value
+
     def test_boundary_face_uses_single_cell(self):
         grid = build_grid(1, 1)
         kstar = PermeabilityField(np.array([0.5]), np.array([0.5]))

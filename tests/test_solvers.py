@@ -631,6 +631,10 @@ class TestDirect:
             direct_solve(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
         with pytest.raises(SingularMatrixError):
             direct_solve(np.zeros((3, 3)), np.ones(3))
+        # no empty row or column: SuperLU itself finds the zero pivot
+        with pytest.raises(SingularMatrixError,
+                           match=r"^sparse LU failed: Factor is exactly singular$"):
+            direct_solve(np.ones((2, 2)), np.ones(2))
 
     def test_sparse_path_beyond_dense_limit(self):
         n = 6000
