@@ -164,18 +164,17 @@ def _harmonic_faces(k: np.ndarray) -> np.ndarray:
     """Values on the faces across the rows of ``k``: the harmonic mean of
     the two adjacent rows between them, the adjacent row at both ends.
 
-    Where the product ``2ab`` falls below the smallest normal double, the
-    mean is taken on ``a`` and ``b`` scaled by ``2**600`` (exact) and scaled
-    back, so it keeps its digits down to where the mean itself underflows."""
+    Each mean ``2ab/(a+b)`` is taken on ``a`` and ``b`` divided by the exact
+    power of two halfway between their exponents, and multiplied back, so
+    ``ab`` lies near 1.  For two normal doubles less than 2^2042 apart no
+    step is then subnormal or infinite, and the mean has the bits of double
+    arithmetic with an unbounded exponent wherever it is a normal double."""
     faces = np.empty((k.shape[0] + 1, k.shape[1]))
     faces[0], faces[-1] = k[0], k[-1]
     a, b = k[:-1], k[1:]
-    product = 2.0 * a * b
-    faces[1:-1] = product / (a + b)
-    small = product < np.finfo(float).tiny
-    if small.any():
-        a, b = np.ldexp(a[small], 600), np.ldexp(b[small], 600)
-        faces[1:-1][small] = np.ldexp(2.0 * a * b / (a + b), -600)
+    e = (np.frexp(a)[1] + np.frexp(b)[1]) // 2
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+    faces[1:-1] = np.ldexp(2.0 * a * b / (a + b), e)
     return faces
 
 

@@ -66,26 +66,22 @@ class StaggeredGrid:
     def p_index(self, i, j):
         return self.n_u + self.n_v + j * self.nx + i
 
+    def _coords(self, ni: int, nj: int, ox: float, oy: float):
+        """(x, y) of an ni-by-nj lattice offset by (ox, oy) cells, j outer."""
+        jj, ii = (a.ravel() for a in np.meshgrid(np.arange(nj), np.arange(ni), indexing="ij"))
+        return (ii + ox) * self.dx, (jj + oy) * self.dy
+
     def u_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """(x, y) of every u-face in global u-block order."""
-        i = np.arange(self.nx + 1)
-        j = np.arange(self.ny)
-        jj, ii = np.meshgrid(j, i, indexing="ij")
-        return ii.ravel() * self.dx, (jj.ravel() + 0.5) * self.dy
+        return self._coords(self.nx + 1, self.ny, 0.0, 0.5)
 
     def v_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """(x, y) of every v-face in global v-block order."""
-        i = np.arange(self.nx)
-        j = np.arange(self.ny + 1)
-        jj, ii = np.meshgrid(j, i, indexing="ij")
-        return (ii.ravel() + 0.5) * self.dx, jj.ravel() * self.dy
+        return self._coords(self.nx, self.ny + 1, 0.5, 0.0)
 
     def p_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """(x, y) of every cell center in global p-block order."""
-        i = np.arange(self.nx)
-        j = np.arange(self.ny)
-        jj, ii = np.meshgrid(j, i, indexing="ij")
-        return (ii.ravel() + 0.5) * self.dx, (jj.ravel() + 0.5) * self.dy
+        return self._coords(self.nx, self.ny, 0.5, 0.5)
 
 
 def build_grid(nx: int, ny: int) -> StaggeredGrid:

@@ -122,10 +122,9 @@ def _unit_range(z: np.ndarray) -> np.ndarray:
 
 def _log_graded(t: np.ndarray, contrast: float, axis: str) -> np.ndarray:
     """Permeabilities log-spaced from 1 (``t = 0``) to ``contrast``
-    (``t = 1``), both ends exact; raises when ``t`` misses either end."""
-    if contrast == 1.0:
-        return np.ones(t.size)
-    if not ((t == 0.0).any() and (t == 1.0).any()):
+    (``t = 1``), both ends exact; raises when a contrast above 1 has ``t``
+    miss either end."""
+    if contrast > 1.0 and not ((t == 0.0).any() and (t == 1.0).any()):
         raise InvalidFieldError(f"grid too small to realize contrast {contrast} in {axis}")
     return np.where(t == 1.0, contrast, np.where(t == 0.0, 1.0, np.exp(np.log(contrast) * t)))
 

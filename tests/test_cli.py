@@ -49,25 +49,14 @@ output.dir = {out}
 """
 
 
-#: The README's regime-study config and a scales + field.path one, with the
-#: config_resolved.txt each resolves to.
-CANONICAL_SWEEP = """
-# regime study: fixed high-contrast field, Da swept over ten decades
-grid.nx = 20
-grid.ny = 20
-anna = 1.0                  # or give the four scales.* keys instead
-field.pattern = layered     # layered | checkerboard | lognormal
-field.contrast_x = 1e5
-field.contrast_y = 1e5
-field.seed = 0              # used by lognormal
-bc.gx = 1.0                 # boundary velocity g = (gx, gy)
-bc.gy = 0.0
-solver.tol = 1e-6
-solver.maxit = 1240
-sweep.da = logspace:-5,5,11 # or an explicit comma list
-output.dir = out
-output.timings = true       # false zeroes wall_ms for diffable CSVs
-"""
+def readme_config_example():
+    """The README's regime-study config: its first "Command line" config block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Command line", 1)[1].split("```\n")[1]
+
+
+#: The config_resolved.txt of the README's example, and a scales + field.path
+#: config with the config_resolved.txt it resolves to.
 RESOLVED_CANONICAL_SWEEP = """\
 grid.nx = 20
 grid.ny = 20
@@ -141,12 +130,12 @@ class TestConfig:
         assert parse_config(path) == config
 
     @pytest.mark.parametrize("text, resolved", [
-        (CANONICAL_SWEEP, RESOLVED_CANONICAL_SWEEP),
-        (SCALED_FIELD_PATH, RESOLVED_SCALED_FIELD_PATH),
+        (readme_config_example, RESOLVED_CANONICAL_SWEEP),
+        (lambda: SCALED_FIELD_PATH, RESOLVED_SCALED_FIELD_PATH),
     ], ids=["canonical-sweep", "scales-field-path"])
     def test_resolved_config_bytes(self, tmp_path, text, resolved):
         path = tmp_path / "config_resolved.txt"
-        write_config(parse_config_text(text), path)
+        write_config(parse_config_text(text()), path)
         assert path.read_bytes() == resolved.encode()
 
     @pytest.mark.parametrize("value", ["run#1", "run\n1", "run\r1", " run", "run ", ""])
@@ -564,24 +553,28 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split(":")[0] for ln in lines if ": PASS (" in ln] == list(VERIFY_CHECKS)
         # the detail printed at bc.gx = 1
-        assert "darcy_limit: PASS (relative difference 2.126e-06 (<= 1e-3))" in lines
+        assert ("darcy_limit: PASS (relative difference 2.126e-06 (<= 1e-3) on the 16x16 "
+                "layered field, contrasts 1.000e+02, 1.000e+02)") in lines
 
-    def test_field_path_limit_checks_run_on_the_layered_1e5_field(self, tmp_path, capsys):
+    def test_field_file_verifies_like_the_config_that_wrote_it(self, tmp_path, capsys):
         # a field file holds one grid's cells, so the 16x16 limit checks of a
-        # field.path config run on the layered contrast-1e5 field (seed 0)
+        # field.path config run on the layered field at the file's contrasts:
+        # for a layered gen-field file, the field its config generates there
         gen = write_cfg(tmp_path, VERIFY_CFG.format(out=tmp_path / "gen"), "gen.cfg")
         assert main(["gen-field", gen, "--quiet"]) == 0
         capsys.readouterr()
         source = "field.pattern = layered\nfield.contrast_x = 1e2\nfield.contrast_y = 1e2"
         darcy = {}
         for name, field in [("path", f"field.path = {tmp_path / 'gen' / 'field.txt'}"),
-                            ("layered", source.replace("1e2", "1e5"))]:
+                            ("config", source)]:
             text = VERIFY_CFG.format(out=tmp_path / name).replace(source, field)
             assert main(["verify", write_cfg(tmp_path, text, f"{name}.cfg")]) == 0
             lines = capsys.readouterr().out.splitlines()
             assert [ln.split(":")[0] for ln in lines if ": PASS (" in ln] == list(VERIFY_CHECKS)
             darcy[name] = [ln for ln in lines if ln.startswith("darcy_limit: ")]
-        assert darcy["path"] == darcy["layered"]
+        assert darcy["path"] == darcy["config"]
+        assert darcy["path"][0].endswith("on the 16x16 layered field, contrasts 1.000e+02, "
+                                         "1.000e+02)")
 
     def test_forced_nonconvergence_fails_suite(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -661,7 +654,6 @@ scales.mu = 1.0
 scales.mu_eff = 1.0
 scales.k_max = 1e-3
 field.pattern = layered
-sweep.da = 0.1,1.0
 output.dir = {out}
 """
 
@@ -736,6 +728,22 @@ class TestErrorPaths:
         assert err.startswith(f"error: config key 'scales.u_ref': {cfg}:4: removed; ")
         assert err.endswith(", delete this line\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "gen-field"])
+    def test_da_list_outside_a_sweep_exits_2_before_the_field_is_built(
+            self, tmp_path, capsys, monkeypatch, command):
+        # only a sweep reads sweep.da; any other command would ignore it unsaid
+        def no_field(*args, **kwargs):
+            raise AssertionError(f"built the field of a {command} with a da list")
+
+        monkeypatch.setattr(brinkman2d.cli, "_field_for", no_field)
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=out) + "sweep.da = 1e-3,1e3\n")
+        assert main([command, cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: config key 'sweep.da': only sweep reads a da list, so "
+                       f"{command} would ignore it; delete this line\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     @pytest.mark.parametrize("fix, cause", [
@@ -839,10 +847,12 @@ class TestErrorPaths:
          "grid too small to realize contrast"),
     ], ids=["negative-seed", "layered-one-column", "checkerboard-1x1"])
     def test_bad_field_config_exits_2(self, tmp_path, capsys, fix, cause):
-        text = UNIFORM_SOLVE.format(out=tmp_path / "out") + "sweep.da = 1.0\n"
+        text = UNIFORM_SOLVE.format(out=tmp_path / "out")
         lines = [line for line in text.splitlines() if line.split(" =")[0] not in fix]
-        cfg = write_cfg(tmp_path, "\n".join(lines + [f"{k} = {v}" for k, v in fix.items()]))
+        text = "\n".join(lines + [f"{k} = {v}" for k, v in fix.items()]) + "\n"
         for command in ("solve", "sweep", "gen-field"):
+            da = "sweep.da = 1.0\n" if command == "sweep" else ""
+            cfg = write_cfg(tmp_path, text + da)
             assert main([command, cfg, "--quiet"]) == 2, command
             err = capsys.readouterr().err
             assert err.startswith("error: ") and cause in err, (command, err)
@@ -859,7 +869,6 @@ field.contrast_y = 1e2
 bc.gx = 1.0
 bc.gy = 0.0
 solver.tol = 1e-8
-sweep.da = 1.0
 output.timings = false
 output.dir = {out}
 """
@@ -917,8 +926,9 @@ def test_each_command_runs_the_function_bound_on_the_module(tmp_path, monkeypatc
     for name, (run, _) in brinkman2d.cli._commands().items():
         monkeypatch.setattr(brinkman2d.cli, run.__name__,
                             lambda config, quiet, name=name: calls.append((name, quiet)) or 0)
-    cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "out"))
+    text = UNIFORM_SOLVE.format(out=tmp_path / "out")
     for name in ("solve", "sweep", "verify", "gen-field"):
+        cfg = write_cfg(tmp_path, text + ("sweep.da = 1.0\n" if name == "sweep" else ""))
         assert main([name, cfg, "--quiet"]) == 0
     assert calls == [("solve", True), ("sweep", True), ("verify", True), ("gen-field", True)]
 

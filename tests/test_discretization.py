@@ -208,10 +208,11 @@ class TestDrag:
         coeff = assemble_drag(grid, kstar).diagonal()
         assert coeff[grid.u_index(1, 0)] == pytest.approx(5.00005e4, rel=1e-12)
 
-    @pytest.mark.parametrize("value", [1e-161, 1e-200])
-    def test_two_tiny_cells_keep_their_drag(self, value):
-        # the product 2ab is subnormal at 1e-161 and 0 at 1e-200, but the
-        # harmonic mean of two equal cells is the cell value
+    @pytest.mark.parametrize("value", [1e-300, 1e-200, 1e-161, 1e200, 1e300])
+    def test_two_equal_cells_keep_their_drag(self, value):
+        # the product 2ab is 0 at 1e-300 and 1e-200, subnormal at 1e-161 and
+        # inf at 1e200 and 1e300, but the harmonic mean of two equal cells is
+        # the cell value
         grid = build_grid(2, 1)
         kstar = PermeabilityField(np.full(2, value), np.ones(2))
         coeff = assemble_drag(grid, kstar).diagonal()

@@ -135,6 +135,9 @@ def test_generator_argument_errors():
     with pytest.raises(InvalidFieldError, match="grid too small"):
         # a single row cannot carry an x-contrast
         generate_contrast_field(build_grid(3, 1), 10.0, 1.0, "layered", 0)
+    # a contrast of 1 needs neither end of the grading: all ones
+    flat = generate_contrast_field(build_grid(3, 1), 1.0, 1.0, "layered", 0)
+    assert np.array_equal(flat.kxx, np.ones(3)) and np.array_equal(flat.kyy, np.ones(3))
 
 
 def test_field_validation():

@@ -493,12 +493,25 @@ class TestGmres:
         assert report.iterations == 1
         assert report.converged
 
-    @pytest.mark.parametrize("exponent", [-1, -520, -600])
-    def test_small_rhs_solved_as_a_power_of_two_multiple(self, exponent):
+    @pytest.mark.parametrize("rhs, exponent", [
+        ("layered", -1), ("layered", -520), ("layered", -600),
+        ("norm-over-1-max-under-half", -600), ("norm-under-1-max-over-half", -600),
+    ], ids=["-1", "-520", "-600", "norm-over-1-max-under-half", "norm-under-1-max-over-half"])
+    def test_small_rhs_solved_as_a_power_of_two_multiple(self, rhs, exponent):
         # GMRES commutes with scaling b by an exact power of two: the same
         # steps and residuals, x scaled by that power.  At 2^-520 the squares
         # of the residuals near tol underflow, at 2^-600 those of b itself.
+        # The last two right-hand sides sit on either side of the bound
+        # max|b| < 1/2 that decides whether b itself is scaled, each with
+        # ||b|| on the other side of 1.
         A, b = layered_system(6, 1.0)
+        if rhs == "norm-over-1-max-under-half":
+            b = np.full(b.size, 0.1)
+            assert np.linalg.norm(b) >= 1.0 and np.abs(b).max() < 0.5
+        elif rhs == "norm-under-1-max-over-half":
+            b = np.zeros(b.size)
+            b[1] = 0.75  # the momentum row of the first interior u face
+            assert np.linalg.norm(b) < 1.0 and np.abs(b).max() >= 0.5
         cfg = SolverConfig(tol=1e-8)
         x_ref, ref = gmres_solve(A, b, cfg)
         x, report = gmres_solve(A, np.ldexp(b, exponent), cfg)
