@@ -38,7 +38,7 @@ from .media import (
     uniform_kstar,
     write_field,
 )
-from .scaling import ReferenceScales, Regime, classify_regime
+from .scaling import ReferenceScales, classify_regime
 from .solvers import (
     SingularMatrixError,
     SolveReport,

@@ -10,6 +10,15 @@ import numpy as np
 import scipy.sparse as sp
 
 
+class ConfigError(ValueError):
+    """A config value refused where it is checked; ``key`` names its
+    config entry (``solver.tol``, ``scales.mu``, ...)."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"config key '{key}': {message}")
+        self.key = key
+
+
 class NumericOverflowError(ValueError):
     """Finite inputs whose scale overflows double precision; the message
     names the quantity that did."""

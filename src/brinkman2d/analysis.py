@@ -285,7 +285,7 @@ def write_regime_csv(rows: list[RegimeRow], path, timings: bool = True) -> None:
         wall_ms = report.wall_time * 1e3 if timings else 0.0
         lines.append(
             f"{row.anna:.5e},{row.anna:.5e},{kappa},{row.kappa_flag},{report.iterations},"
-            f"{report.final_relres:.5e},{classify_regime(row.anna).value},{wall_ms:.5e}"
+            f"{report.final_relres:.5e},{classify_regime(row.anna)},{wall_ms:.5e}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -13,18 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import ConfigError, atomic_write_text
 from .media import PATTERNS
 from .scaling import ReferenceScales, check_da_values
-from .solvers import SettingError, SolverConfig
-
-
-class ConfigError(ValueError):
-    """Bad configuration; ``key`` names the offending entry."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"config key '{key}': {message}")
-        self.key = key
+from .solvers import SolverConfig
 
 
 def _parse_bool(value: str) -> bool:
@@ -52,43 +44,37 @@ def _parse_da(spec: str) -> tuple[float, ...]:
     return tuple(_parse_number(v) for v in da)
 
 
+#: Each kind of value: its parser, what the parser accepts (for the "not
+#: <kind>" message) and how write_config spells a value so it parses back equal.
+_INT = (int, "an integer", str)
+_TEXT = (str, "text", str)
+_NUMBER = (_parse_number, "a finite number", repr)
+_BOOL = (_parse_bool, "a boolean", lambda value: str(value).lower())
+_DA = (_parse_da, "a comma list of finite numbers or logspace:start_exp,end_exp,count",
+       lambda values: ",".join(map(repr, values)))
+
 _SCALE_KEYS = ("scales.l_ref", "scales.mu", "scales.mu_eff", "scales.k_max")
-#: Every config key and the RunConfig field it sets; the scales.* keys
-#: are gathered into ``scales``.
+#: Every config key, the RunConfig field it sets and its kind of value; the
+#: scales.* keys are gathered into ``scales``.
 _KEYS = {
-    "grid.nx": ("nx", int),
-    "grid.ny": ("ny", int),
-    "anna": ("anna", _parse_number),
-    **{key: (key, _parse_number) for key in _SCALE_KEYS},
-    "field.pattern": ("field_pattern", str),
-    "field.contrast_x": ("contrast_x", _parse_number),
-    "field.contrast_y": ("contrast_y", _parse_number),
-    "field.seed": ("seed", int),
-    "field.path": ("field_path", str),
-    "bc.gx": ("gx", _parse_number),
-    "bc.gy": ("gy", _parse_number),
-    "solver.tol": ("tol", _parse_number),
-    "solver.maxit": ("maxit", int),
-    "solver.restart": ("restart", int),
-    "solver.pin_pressure": ("pin_pressure", _parse_bool),
-    "sweep.da": ("da_values", _parse_da),
-    "output.dir": ("out_dir", str),
-    "output.timings": ("timings", _parse_bool),
-}
-#: What each value parser accepts, for error messages.
-_EXPECTED = {
-    int: "an integer",
-    _parse_number: "a finite number",
-    _parse_bool: "a boolean",
-    _parse_da: "a comma list of finite numbers or logspace:start_exp,end_exp,count",
-}
-#: How :func:`write_config` spells a value of each parser, so it parses back equal.
-_SPELLING = {
-    int: str,
-    str: str,
-    _parse_number: repr,
-    _parse_bool: lambda value: str(value).lower(),
-    _parse_da: lambda values: ",".join(map(repr, values)),
+    "grid.nx": ("nx", _INT),
+    "grid.ny": ("ny", _INT),
+    "anna": ("anna", _NUMBER),
+    **{key: (key, _NUMBER) for key in _SCALE_KEYS},
+    "field.pattern": ("field_pattern", _TEXT),
+    "field.contrast_x": ("contrast_x", _NUMBER),
+    "field.contrast_y": ("contrast_y", _NUMBER),
+    "field.seed": ("seed", _INT),
+    "field.path": ("field_path", _TEXT),
+    "bc.gx": ("gx", _NUMBER),
+    "bc.gy": ("gy", _NUMBER),
+    "solver.tol": ("tol", _NUMBER),
+    "solver.maxit": ("maxit", _INT),
+    "solver.restart": ("restart", _INT),
+    "solver.pin_pressure": ("pin_pressure", _BOOL),
+    "sweep.da": ("da_values", _DA),
+    "output.dir": ("out_dir", _TEXT),
+    "output.timings": ("timings", _BOOL),
 }
 #: Keys that are gone, each with why a line that sets one must go.
 _REMOVED_KEYS = {
@@ -150,17 +136,11 @@ class RunConfig:
                 raise ConfigError(key, f"must be a finite number, got {value}")
         self.solver_config()
         if self.da_values is not None:
-            try:
-                self.da_values = check_da_values(self.da_values)
-            except ValueError as exc:
-                raise ConfigError("sweep.da", str(exc)) from exc
+            self.da_values = check_da_values(self.da_values)
 
     def solver_config(self) -> SolverConfig:
-        """The GMRES settings of this run; a bad one raises ConfigError('solver.<field>')."""
-        try:
-            return SolverConfig(self.tol, self.maxit, self.restart)
-        except SettingError as exc:
-            raise ConfigError(f"solver.{exc.field}", str(exc)) from exc
+        """The GMRES settings of this run; a bad one raises ConfigError('solver.<key>')."""
+        return SolverConfig(self.tol, self.maxit, self.restart)
 
     def effective_anna(self) -> float:
         """anna as given, or the one the scales block gives."""
@@ -184,7 +164,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
                                    "delete this line")
         if key not in _KEYS:
             raise ConfigError(key, f"{source}:{lineno}: unknown key")
-        name, parse = _KEYS[key]
+        name, (parse, expected, _) = _KEYS[key]
         if name in values:
             raise ConfigError(key, f"{source}:{lineno}: duplicate key")
         if not value:
@@ -192,19 +172,15 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         try:
             values[name] = parse(value)
         except ValueError as exc:
-            raise ConfigError(key, f"{source}:{lineno}: not {_EXPECTED[parse]}: {value!r}") from exc
+            raise ConfigError(key, f"{source}:{lineno}: not {expected}: {value!r}") from exc
 
     if "nx" not in values or "ny" not in values:
         raise ConfigError("grid.nx", "grid.nx and grid.ny are required")
-    given = [key for key in _SCALE_KEYS if key in values]
-    if given:
+    if any(key in values for key in _SCALE_KEYS):
         missing = [key for key in _SCALE_KEYS if key not in values]
         if missing:
             raise ConfigError(missing[0], "all four scales.* keys are required together")
-        try:
-            values["scales"] = ReferenceScales(*(values.pop(key) for key in _SCALE_KEYS))
-        except ValueError as exc:
-            raise ConfigError(given[0], str(exc)) from exc
+        values["scales"] = ReferenceScales(*(values.pop(key) for key in _SCALE_KEYS))
     # keys left out fall back to the RunConfig defaults
     return RunConfig(**values)
 
@@ -223,12 +199,12 @@ def write_config(config: RunConfig, path) -> None:
     set key in ``_KEYS`` order, without the generator keys of a
     ``field.path`` run."""
     lines = []
-    for key, (name, parse) in _KEYS.items():
+    for key, (name, (_, _, spell)) in _KEYS.items():
         if key in _SCALE_KEYS:
             value = getattr(config.scales, key.removeprefix("scales."), None)  # None with anna
         else:
             value = getattr(config, name)
         if value is None or (config.field_path is not None and key in _GENERATOR_KEYS):
             continue
-        lines.append(f"{key} = {_SPELLING[parse](value)}")
+        lines.append(f"{key} = {spell(value)}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+
+from ._util import ConfigError
 
 
 @dataclass(frozen=True)
 class ReferenceScales:
     """Physical inputs: l_ref [m], mu and mu_eff [Pa s], k_max [m^2].
 
-    Each must be positive and finite, and so must the Darcy number, the
-    viscosity ratio and anna they give in double precision."""
+    Each must be positive and finite, else a :class:`ConfigError` names its
+    ``scales.*`` key; so must the Darcy number, the viscosity ratio and
+    anna they give in double precision, else it names ``scales.l_ref``."""
 
     l_ref: float
     mu: float
@@ -30,14 +32,15 @@ class ReferenceScales:
         for name in ("l_ref", "mu", "mu_eff", "k_max"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+                raise ConfigError(f"scales.{name}", f"must be positive and finite, got {v}")
         try:
             numbers = {"Da": self.darcy, "mu_eff/mu": self.viscosity_ratio, "anna": self.anna}
         except OverflowError:  # l_ref**2 overflows, so Da underflows
             numbers = {"Da": 0.0}
         for name, v in numbers.items():
             if not 0.0 < v < math.inf:
-                raise ValueError(f"{name} = {v} under- or overflows double precision")
+                raise ConfigError("scales.l_ref",
+                                  f"{name} = {v} under- or overflows double precision")
 
     @property
     def darcy(self) -> float:
@@ -52,38 +55,33 @@ class ReferenceScales:
         return self.viscosity_ratio * self.darcy
 
 
-class Regime(Enum):
-    DARCY = "darcy"
-    BRINKMAN = "brinkman"
-    STOKES = "stokes"
-
-
 #: Regime bounds in anna; the physical transition sits near anna = 1,
 #: the two-decade margins on either side are an artifact choice.
 DEFAULT_A_LOW = 1e-2
 DEFAULT_A_HIGH = 1e2
 
 
-def classify_regime(anna: float) -> Regime:
-    """The flow regime of a control number: darcy below ``DEFAULT_A_LOW``,
-    stokes above ``DEFAULT_A_HIGH``, brinkman between them, bounds
-    included."""
+def classify_regime(anna: float) -> str:
+    """The name of the flow regime of a control number: ``"darcy"`` below
+    ``DEFAULT_A_LOW``, ``"stokes"`` above ``DEFAULT_A_HIGH``,
+    ``"brinkman"`` between them, bounds included."""
     if anna < DEFAULT_A_LOW:
-        return Regime.DARCY
+        return "darcy"
     if anna > DEFAULT_A_HIGH:
-        return Regime.STOKES
-    return Regime.BRINKMAN
+        return "stokes"
+    return "brinkman"
 
 
 def check_da_values(da_values) -> tuple[float, ...]:
-    """A Darcy-number sweep as floats: nonempty, finite, positive, strictly ascending."""
+    """A Darcy-number sweep as floats: nonempty, finite, positive, strictly
+    ascending, else a :class:`ConfigError` on ``sweep.da``."""
     da = tuple(float(v) for v in da_values)
     if not da:
-        raise ValueError("Da list must be nonempty")
+        raise ConfigError("sweep.da", "Da list must be nonempty")
     if not all(math.isfinite(v) for v in da):
-        raise ValueError("Da values must be finite")
+        raise ConfigError("sweep.da", "Da values must be finite")
     if any(v <= 0.0 for v in da):
-        raise ValueError("Da values must be positive")
+        raise ConfigError("sweep.da", "Da values must be positive")
     if any(b <= a for a, b in zip(da, da[1:])):
-        raise ValueError("Da values must be strictly ascending")
+        raise ConfigError("sweep.da", "Da values must be strictly ascending")
     return da

@@ -30,24 +30,17 @@ import scipy.sparse as sp
 # scipy.sparse.linalg (SuperLU, ARPACK: ~10 MB resident) is imported by
 # _sparse_lu alone, so a GMRES-only process never loads it
 
-from ._util import NumericOverflowError, checked_square_matrix, release_freed_heap
+from ._util import ConfigError, NumericOverflowError, checked_square_matrix, release_freed_heap
 
 
 class SingularMatrixError(RuntimeError):
     """Direct factorization hit an exactly singular pivot."""
 
 
-class SettingError(ValueError):
-    """Invalid or unrunnable :class:`SolverConfig` value; ``field`` names the setting."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field} {message}")
-        self.field = field
-
-
 @dataclass
 class SolverConfig:
-    """Iterative-solver settings.
+    """Iterative-solver settings: the ``solver.*`` config block, whose key
+    a :class:`ConfigError` on a bad value names.
 
     maxit defaults to the system size, restart defaults to maxit (full
     GMRES).  The convergence test is ||b - M x||_2 / ||b||_2 <= tol, so
@@ -60,11 +53,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
-            raise SettingError("tol", f"must be in (0, 1), got {self.tol}")
+            raise ConfigError("solver.tol", f"must be in (0, 1), got {self.tol}")
         if self.maxit is not None and self.maxit < 1:
-            raise SettingError("maxit", f"must be >= 1, got {self.maxit}")
+            raise ConfigError("solver.maxit", f"must be >= 1, got {self.maxit}")
         if self.restart is not None and self.restart < 1:
-            raise SettingError("restart", f"must be >= 1, got {self.restart}")
+            raise ConfigError("solver.restart", f"must be >= 1, got {self.restart}")
 
 
 @dataclass
@@ -115,8 +108,8 @@ def _check_basis_fits(n: int, m: int) -> None:
     need = ((m + 1) * n + m * (m + 1) // 2 + m) * 8
     available = _physical_memory_bytes()
     if need > available:
-        raise SettingError(
-            "restart",
+        raise ConfigError(
+            "solver.restart",
             f"m = {m} on n = {n} unknowns needs {need / 2**30:.1f} GiB for the Krylov basis and "
             f"packed Hessenberg, more than the {available / 2**30:.1f} GiB of physical memory; "
             "set solver.restart lower",
@@ -130,8 +123,8 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     the current subspace) terminates the iteration with the current
     iterate; hitting maxit returns the best iterate with
     ``converged=False``.  The result is deterministic for fixed inputs.
-    Raises :class:`SettingError` on ``restart`` when the Krylov basis and
-    packed Hessenberg cannot fit in physical memory (the default
+    Raises :class:`ConfigError` on ``solver.restart`` when the Krylov
+    basis and packed Hessenberg cannot fit in physical memory (the default
     ``maxit = n`` asks for an ``(n+1) x n`` basis and ``n(n+1)/2 + n``
     Hessenberg entries).  ``SolveReport.workspace_bytes`` gives their size;
     the heap they freed goes back to the OS on return.  Raises
@@ -325,14 +318,17 @@ def direct_solve(matrix, rhs) -> np.ndarray:
     An unpinned system with compatible data solves: its velocity matches
     the pinned solve to ~5e-11, but its pressure carries an arbitrary
     constant (4.6e7 on a uniform 64x64 grid at anna 1e5, ~3 digits lost),
-    so pin the pressure when you need it.
+    so pin the pressure when you need it.  Raises
+    :class:`NumericOverflowError` when the solution of finite inputs
+    overflows double precision.
     """
     A, b = _linear_system(matrix, rhs)
     factor = _sparse_lu(A)
     x = factor.solve(b)
     # one step of iterative refinement recovers the forward accuracy lost
     # on badly conditioned saddle points
-    x += factor.solve(b - A @ x)
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError("sparse LU produced non-finite solution (singular pivot)")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, unwarned
+        x += factor.solve(b - A @ x)
+    if not np.isfinite(x).all():
+        raise NumericOverflowError("the direct solution overflows double precision")
     return x

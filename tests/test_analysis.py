@@ -11,6 +11,9 @@ from brinkman2d import (
     BoundaryData,
     SolverConfig,
     UnsupportedSizeError,
+    assemble_divergence,
+    assemble_drag,
+    assemble_laplacian,
     assemble_monolithic,
     build_grid,
     check_divergence,
@@ -32,6 +35,7 @@ from brinkman2d.analysis import (
     mms_velocity,
     mms_velocity_laplacian,
 )
+from brinkman2d.grid import boundary_velocity_mask
 from conftest import SWEEP_TOL, blas_info
 
 
@@ -189,6 +193,32 @@ class TestSpectrum:
         assert report.min_abs_nonzero >= sigma_min * (1 - 1e-12)
         assert report.min_abs_nonzero <= n * sigma_min
 
+    def test_criterion_8_minimum_is_the_pressure_schur_mode(self):
+        # criterion 8's setup: the smallest nonzero |eigenvalue| of the pinned
+        # matrix is the smallest eigenvalue of the pinned pressure Schur
+        # complement S = D A^-1 D^T, which falls with Da, while the momentum
+        # block A = -Da L + K^-1 on the free faces is symmetric and its
+        # smallest eigenvalue rises with Da
+        grid = build_grid(8, 8)
+        kstar = normalize(generate_contrast_field(grid, 1e5, 1e5, "layered", 0))
+        free = ~boundary_velocity_mask(grid)
+        laplacian = assemble_laplacian(grid).toarray()[np.ix_(free, free)]
+        drag = assemble_drag(grid, kstar).toarray()[np.ix_(free, free)]
+        divergence = assemble_divergence(grid).toarray()[1:, free]  # first cell pinned
+        schur_min, momentum_min = [], []
+        for da in (1e-2, 1.0, 1e2):
+            A = -da * laplacian + drag
+            assert not (A - A.T).any()
+            S = divergence @ np.linalg.solve(A, divergence.T)
+            schur_min.append(np.linalg.eigvalsh(S)[0])
+            momentum_min.append(np.linalg.eigvalsh(A)[0])
+            pinned = assemble_monolithic(grid, kstar, da, BoundaryData(1.0, 0.0),
+                                         pin_pressure=True)
+            full_min = eigen_spectrum(pinned.matrix).min_abs_nonzero
+            assert f"{full_min:.3e}" == f"{schur_min[-1]:.3e}"
+        assert [f"{v:.3e}" for v in schur_min] == ["7.446e-04", "7.320e-04", "6.451e-05"]
+        assert [f"{v:.4g}" for v in momentum_min] == ["2.905", "63.33", "2743"]
+
 
 class TestCheckDivergence:
     def test_uniform_flow(self):
@@ -324,6 +354,17 @@ class TestSweep:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 sweep_darcy(grid, field, (1.0, bad), bc, SolverConfig())
+
+    @pytest.mark.parametrize("n, n_free", [(4, 40), (6, 96), (8, 176), (10, 280), (12, 408)])
+    def test_darcy_plateau_is_the_free_unknown_count(self, n, n_free):
+        # on the Darcy side full GMRES terminates after exactly as many
+        # iterations as the system has unknowns off the fixed wall faces
+        grid = build_grid(n, n)
+        field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
+        rows = sweep_darcy(grid, field, (1e-5,), BoundaryData(1.0, 0.0), SolverConfig(tol=1e-6))
+        assert n_free == grid.n_total - boundary_velocity_mask(grid).sum()
+        assert rows[0].report.converged
+        assert rows[0].report.iterations == n_free
 
     def test_regime_column(self, tmp_path):
         grid, field, bc = self.small_setup()

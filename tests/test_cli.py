@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -12,6 +13,7 @@ import pytest
 
 import brinkman2d.analysis
 import brinkman2d.cli
+import brinkman2d.config
 import brinkman2d.solvers
 from brinkman2d import (
     ReferenceScales,
@@ -700,6 +702,23 @@ class TestErrorPaths:
         assert main(["solve", cfg]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("scales.mu", "-1.0", "must be positive and finite, got -1.0"),
+        ("scales.l_ref", "0", "must be positive and finite, got 0.0"),
+        ("scales.k_max", "-1e-3", "must be positive and finite, got -0.001"),
+        ("solver.tol", "2.0", "must be in (0, 1), got 2.0"),
+        ("solver.maxit", "0", "must be >= 1, got 0"),
+        ("solver.restart", "-3", "must be >= 1, got -3"),
+    ])
+    def test_refused_value_names_its_own_key(self, tmp_path, capsys, key, value, message):
+        # the check that refuses a value names its key; no layer re-keys it
+        lines = SCALED_SOLVE.format(out=tmp_path / "out").splitlines()
+        lines = [line for line in lines if not line.startswith(f"{key} =")] + [f"{key} = {value}"]
+        cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        assert main(["solve", cfg]) == 2
+        assert capsys.readouterr().err == f"error: config key '{key}': {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["none", "jacobi"])
     def test_removed_preconditioner_key_exits_2(self, tmp_path, capsys, value):
         # old config_resolved.txt files carry "solver.preconditioner = none"
@@ -797,7 +816,7 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "out"))
         assert main(["solve", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: solver.restart m = 208 on n = 208 unknowns")
+        assert err.startswith("error: config key 'solver.restart': m = 208 on n = 208 unknowns")
         assert "0.0 GiB of physical memory" in err
         assert not (tmp_path / "out").exists()
 
@@ -964,3 +983,26 @@ class TestModuleEntryPoint:
         assert run.returncode == 2
         assert "'solver.magic'" in run.stderr
         assert not (tmp_path / "out").exists()
+
+
+def test_every_refusal_names_a_config_key():
+    # each module raises ConfigError where it checks a value, so a key is
+    # spelled in many places; a literal one must be a key the parser reads
+    keys = brinkman2d.config._KEYS
+    modules = set()
+    for path in sorted((Path(brinkman2d.cli.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "ConfigError" and node.args):
+                continue
+            first, where = node.args[0], f"{path.name}:{node.lineno}"
+            if isinstance(first, ast.Constant):
+                assert first.value in keys, where
+            elif isinstance(first, ast.JoinedStr):  # f"scales.{name}"
+                prefix = first.values[0]
+                assert isinstance(prefix, ast.Constant), where
+                assert any(key.startswith(prefix.value) for key in keys), where
+            else:  # the offending line, a key from a table, the config path
+                continue
+            modules.add(path.stem)
+    assert modules == {"cli", "config", "scaling", "solvers"}

@@ -21,9 +21,9 @@ from brinkman2d import (
     normalize,
     uniform_kstar,
 )
-from brinkman2d._util import NumericOverflowError, release_freed_heap
+from brinkman2d._util import ConfigError, NumericOverflowError, release_freed_heap
 from brinkman2d.analysis import mms_forcing
-from brinkman2d.solvers import SettingError, _sparse_lu
+from brinkman2d.solvers import _sparse_lu
 
 MONOTONE_SLACK = 1e-14
 
@@ -406,8 +406,9 @@ class TestGmres:
         assert report.converged
         assert report.workspace_bytes == need
         monkeypatch.setattr(brinkman2d.solvers, "_physical_memory_bytes", lambda: need - 1)
-        with pytest.raises(SettingError, match="n = 1240 unknowns"):
+        with pytest.raises(ConfigError, match="n = 1240 unknowns") as info:
             gmres_solve(A, b, SolverConfig(tol=1e-6))
+        assert info.value.key == "solver.restart"
 
     def test_guard_admits_what_only_a_dense_hessenberg_would_not_fit(self, monkeypatch):
         # at m = n = 20 the packed workspace needs 5200 B, a dense (m+1) x m
@@ -591,10 +592,10 @@ class TestGmres:
 
         monkeypatch.setattr(np, "empty", refuse_2d(np.empty))
         monkeypatch.setattr(np, "zeros", refuse_2d(np.zeros))
-        with pytest.raises(SettingError, match="n = 200000 unknowns") as info:
+        with pytest.raises(ConfigError, match="n = 200000 unknowns") as info:
             gmres_solve(matrix, rhs)
-        assert info.value.field == "restart"
-        assert "solver.restart" in str(info.value)
+        assert info.value.key == "solver.restart"
+        assert str(info.value).startswith("config key 'solver.restart': m = ")
 
     def test_maxit_one(self):
         _, report, matvecs = counted_solve(spd_tridiagonal(20), np.ones(20),
@@ -669,6 +670,16 @@ class TestDirect:
         with pytest.raises(ValueError, match="rhs has NaN or inf"):
             direct_solve(np.eye(3), np.array([1.0, np.nan, 0.0]))
 
+    @pytest.mark.parametrize("matrix, rhs", [
+        (sp.csr_matrix([[1e-310]]), [1e10]),
+        (np.diag([1e-300, 1.0]), [1e300, 1.0]),
+    ], ids=["subnormal-pivot", "dense-diagonal"])
+    def test_overflowing_solution_raises_unwarned(self, matrix, rhs):
+        # finite inputs, nonsingular factor, a solution past double range:
+        # no RuntimeWarning from the refinement step, and no "singular" cause
+        with pytest.raises(NumericOverflowError, match="the direct solution overflows"):
+            direct_solve(matrix, rhs)
+
     def test_csc_input_with_explicit_zeros_left_unchanged(self):
         A = sp.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]))
         A.data[A.data == 1.0] = 0.0  # explicit zeros, kept in the structure
@@ -713,9 +724,9 @@ def test_solver_config_validation():
 @pytest.mark.parametrize("tol", [1.0, 2.0, np.inf, np.nan])
 def test_tol_must_be_finite_and_below_one(tol):
     # the zero initial guess has relres 1, so tol >= 1 would "converge" at once
-    with pytest.raises(SettingError, match="must be in \\(0, 1\\)") as info:
+    with pytest.raises(ConfigError, match="must be in \\(0, 1\\)") as info:
         SolverConfig(tol=tol)
-    assert info.value.field == "tol"
+    assert info.value.key == "solver.tol"
 
 
 class TestReleaseFreedHeap:
