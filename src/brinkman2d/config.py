@@ -108,7 +108,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
-            raise ConfigError("grid.nx", f"grid must be at least 1x1, got {self.nx}x{self.ny}")
+            raise ConfigError("grid.nx" if self.nx < 1 else "grid.ny",
+                              f"grid must be at least 1x1, got {self.nx}x{self.ny}")
         if (self.anna is None) == (self.scales is None):
             raise ConfigError("anna", "exactly one of 'anna' or the 'scales.*' block is required")
         if self.anna is not None and not (np.isfinite(self.anna) and self.anna > 0.0):
@@ -174,8 +175,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         except ValueError as exc:
             raise ConfigError(key, f"{source}:{lineno}: not {expected}: {value!r}") from exc
 
-    if "nx" not in values or "ny" not in values:
-        raise ConfigError("grid.nx", "grid.nx and grid.ny are required")
+    for key in ("grid.nx", "grid.ny"):
+        if _KEYS[key][0] not in values:
+            raise ConfigError(key, "grid.nx and grid.ny are required")
     if any(key in values for key in _SCALE_KEYS):
         missing = [key for key in _SCALE_KEYS if key not in values]
         if missing:

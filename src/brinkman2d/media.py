@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import NumericOverflowError, atomic_write_text
 from .grid import StaggeredGrid
 
 PATTERNS = ("layered", "checkerboard", "lognormal")
@@ -63,9 +63,18 @@ class PermeabilityField:
 
 def normalize(field: PermeabilityField) -> PermeabilityField:
     """K* = K / kmax: both components divided by the largest entry of the
-    whole tensor, so the largest K* entry is exactly 1."""
+    whole tensor, so the largest K* entry is exactly 1.  Raises
+    :class:`NumericOverflowError` when a K* entry underflows to 0, as one
+    below half the smallest subnormal (~2.5e-324) does."""
     kmax = max(field.kxx.max(), field.kyy.max())
-    return PermeabilityField(field.kxx / kmax, field.kyy / kmax)
+    kxx, kyy = field.kxx / kmax, field.kyy / kmax
+    underflows = np.count_nonzero((kxx == 0.0) | (kyy == 0.0))
+    if underflows:
+        raise NumericOverflowError(
+            f"K* = K / kmax underflows double precision on {underflows} cells "
+            f"(kmax = {kmax:.5e}, the field's smallest K is "
+            f"{min(field.kxx.min(), field.kyy.min()):.5e})")
+    return PermeabilityField(kxx, kyy)
 
 
 def uniform_kstar(grid: StaggeredGrid) -> PermeabilityField:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._util import ConfigError
 
 
@@ -20,8 +22,8 @@ class ReferenceScales:
     """Physical inputs: l_ref [m], mu and mu_eff [Pa s], k_max [m^2].
 
     Each must be positive and finite, else a :class:`ConfigError` names its
-    ``scales.*`` key; so must the Darcy number, the viscosity ratio and
-    anna they give in double precision, else it names ``scales.l_ref``."""
+    ``scales.*`` key; so must Da, mu_eff/mu and anna, computed in double
+    precision without raising (0 or inf), else it names ``scales.l_ref``."""
 
     l_ref: float
     mu: float
@@ -33,18 +35,16 @@ class ReferenceScales:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"scales.{name}", f"must be positive and finite, got {v}")
-        try:
-            numbers = {"Da": self.darcy, "mu_eff/mu": self.viscosity_ratio, "anna": self.anna}
-        except OverflowError:  # l_ref**2 overflows, so Da underflows
-            numbers = {"Da": 0.0}
-        for name, v in numbers.items():
+        da, ratio = self.darcy, self.viscosity_ratio  # anna is ratio * da
+        for name, v in {"Da": da, "mu_eff/mu": ratio, "anna": ratio * da}.items():
             if not 0.0 < v < math.inf:
                 raise ConfigError("scales.l_ref",
                                   f"{name} = {v} under- or overflows double precision")
 
     @property
     def darcy(self) -> float:
-        return self.k_max / self.l_ref**2
+        with np.errstate(over="ignore", divide="ignore"):
+            return float(self.k_max / np.float64(self.l_ref) ** 2)  # C pow, as float **
 
     @property
     def viscosity_ratio(self) -> float:

@@ -674,8 +674,12 @@ class TestErrorPaths:
             (base + "anna = 2.0\n", "'anna': "),  # given twice
             (base + "solver.tol =\n", "'solver.tol': "),
             (base.replace("grid.nx = 2\n", ""), "'grid.nx': grid.nx and grid.ny are required"),
-            (base.replace("grid.ny = 2\n", ""), "'grid.nx': grid.nx and grid.ny are required"),
+            (base.replace("grid.ny = 2\n", ""), "'grid.ny': grid.nx and grid.ny are required"),
+            (base.replace("grid.nx = 2\ngrid.ny = 2\n", ""),
+             "'grid.nx': grid.nx and grid.ny are required"),
             (base.replace("grid.nx = 2", "grid.nx = 0"), "'grid.nx': "),
+            (base.replace("grid.ny = 2", "grid.ny = 0"), "'grid.ny': grid must be at least 1x1"),
+            (base.replace("= 2", "= 0"), "'grid.nx': grid must be at least 1x1, got 0x0"),
             (base.replace("layered", "stripes"), "'field.pattern': "),
             (base + "solver.pin_pressure = maybe\n", "'solver.pin_pressure': "),
         ]:
@@ -772,7 +776,10 @@ class TestErrorPaths:
          "config key 'scales.l_ref': Da = 0.0 under- or overflows double precision"),
         ({"scales.mu": "1e-10", "scales.mu_eff": "1e300"},
          "config key 'scales.l_ref': mu_eff/mu = inf under- or overflows double precision"),
-    ], ids=["da-underflow", "l_ref-squared-overflows", "ratio-overflow"])
+        ({"scales.l_ref": "1e-200"},  # float k_max / l_ref**2 raised ZeroDivisionError
+         "config key 'scales.l_ref': Da = inf under- or overflows double precision"),
+    ], ids=["da-underflow", "l_ref-squared-overflows", "ratio-overflow",
+            "l_ref-squared-underflows"])
     def test_anna_out_of_double_range_exits_2_before_assembly(
             self, tmp_path, capsys, monkeypatch, command, fix, cause):
         # unchecked, an anna of 0 solves the pure-drag system and exits 0, and
@@ -937,6 +944,22 @@ def test_overflowing_finite_input_exits_2(tmp_path, capfd, monkeypatch, command,
     assert captured.err.startswith(f"error: {cause}")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_field_whose_normalized_k_underflows_exits_2(tmp_path, capfd):
+    # every entry is positive and finite, but K* = 1e-300 / 1e300 is 0.0,
+    # which the field check refused as "kxx must be strictly positive"
+    field = tmp_path / "k.txt"
+    field.write_text("4 4\n" + "1e-300 1e300\n" * 16)
+    text = OVERFLOW_BASE.format(out=tmp_path / "out").replace(
+        "field.pattern = layered", f"field.path = {field}")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["solve", cfg, "--quiet"]) == 2
+    captured = capfd.readouterr()
+    assert captured.err == ("error: K* = K / kmax underflows double precision on 16 cells "
+                            "(kmax = 1.00000e+300, the field's smallest K is 1.00000e-300)\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_each_command_runs_the_function_bound_on_the_module(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from brinkman2d import (
     normalize,
     write_field,
 )
+from brinkman2d._util import NumericOverflowError
 
 
 def test_normalize_uniform_field():
@@ -52,6 +53,21 @@ def test_normalize_scale_equivariance():
     odd = normalize(PermeabilityField(3.7 * field.kxx, 3.7 * field.kyy))
     np.testing.assert_allclose(odd.kxx, base.kxx, rtol=1e-14)
     np.testing.assert_allclose(odd.kyy, base.kyy, rtol=1e-14)
+
+
+@pytest.mark.parametrize("kxx, kyy, cells", [
+    ([1e-300] * 4, [1e300] * 4, 4),
+    ([1.0, 5e-324, 1.0, 1.0], [1.0, 1.0, 1.0, 1e300], 1),
+    ([1e-300, 1.0, 1.0, 1.0], [1.0, 1.0, 1e-310, 1e300], 2),
+], ids=["every-kxx", "smallest-subnormal", "one-kxx-one-kyy"])
+def test_normalize_names_an_underflow_to_zero(kxx, kyy, cells):
+    # positive finite entries whose K* = K / kmax rounds to 0.0; the field
+    # check would refuse that 0 as if the file held it
+    field = PermeabilityField(np.array(kxx), np.array(kyy))
+    with pytest.raises(NumericOverflowError,
+                       match=rf"^K\* = K / kmax underflows double precision on {cells} cells "
+                             r"\(kmax = 1\.00000e\+300, "):
+        normalize(field)
 
 
 #: Grids, contrast pairs and seeds of the generator byte pins; the grids

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from brinkman2d import ReferenceScales, classify_regime
+from brinkman2d import ConfigError, ReferenceScales, classify_regime
 from brinkman2d.scaling import check_da_values
 
 
@@ -57,11 +59,45 @@ def test_scales_must_be_positive_and_finite():
     ((1.0, 1e300, 1e-30, 1.0), "mu_eff/mu"),   # the ratio underflows
     ((1e-150, 1.0, 1e10, 1.0), "anna"),        # Da is finite, anna is not
     ((1e150, 1.0, 1e-30, 1.0), "anna"),        # Da is positive, anna is not
+    ((1e-200, 1.0, 1.0, 1.0), "Da"),           # l_ref**2 underflows, so Da overflows
 ])
 def test_numbers_out_of_double_range_rejected(scales, name):
     with pytest.raises(ValueError,
                        match=f"^config key 'scales.l_ref': {name} = .* under- or overflows"):
         ReferenceScales(*scales)
+
+
+def python_float_anna(l_ref, mu, mu_eff, k_max):
+    """``(mu_eff / mu) * (k_max / l_ref**2)`` in Python float arithmetic, or
+    None where a step raises or Da, mu_eff/mu or anna is 0 or inf."""
+    try:
+        da = k_max / l_ref**2
+    except (OverflowError, ZeroDivisionError):  # l_ref**2 overflows or underflows
+        return None
+    ratio = mu_eff / mu
+    anna = ratio * da
+    return anna if all(0.0 < v < math.inf for v in (da, ratio, anna)) else None
+
+
+def test_scales_over_the_whole_double_range_never_raise_but_config_error():
+    # 10^5 draws of four positive finite doubles, uniform in their bit
+    # patterns, so every binade from the smallest subnormal up is drawn
+    rng = np.random.default_rng(20240619)
+    top = np.float64(np.finfo(float).max).view(np.uint64)
+    draws = rng.integers(1, top, size=(100_000, 4), dtype=np.uint64, endpoint=True)
+    refused, wrong = 0, []
+    for scales in draws.view(np.float64).tolist():
+        # a positive finite anna, whose == is equality of bits, or the key
+        expected = python_float_anna(*scales) or "scales.l_ref"
+        try:  # not pytest.raises, which would double the time of this loop
+            got = ReferenceScales(*scales).anna
+        except ConfigError as exc:
+            got = exc.key
+        if got != expected:
+            wrong.append((scales, got))
+        refused += got == "scales.l_ref"
+    assert wrong == []
+    assert 10_000 < refused < 90_000  # both outcomes are drawn often
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -1,0 +1,31 @@
+import os
+
+import numpy as np
+import pytest
+
+from brinkman2d._util import atomic_write_text, checked_square_matrix
+
+
+def test_failed_write_removes_the_temp_file_and_keeps_the_target(tmp_path):
+    target = tmp_path / "report.csv"
+    target.write_text("before\n")
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate has no UTF-8 form
+        atomic_write_text(target, "half\ud800written")
+    assert sorted(os.listdir(tmp_path)) == ["report.csv"]  # no .tmp-*.part left
+    assert target.read_text() == "before\n"
+
+
+def test_failed_rename_removes_the_temp_file(tmp_path):
+    target = tmp_path / "report.csv"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        atomic_write_text(target, "whole")
+    assert sorted(os.listdir(tmp_path)) == ["report.csv"]
+    assert target.is_dir() and not any(target.iterdir())
+
+
+@pytest.mark.parametrize("matrix", [np.ones(4), np.ones((2, 2, 2)), np.float64(1.0)],
+                         ids=["1-d", "3-d", "0-d"])
+def test_checked_square_matrix_refuses_a_dense_array_that_is_not_2d(matrix):
+    with pytest.raises(ValueError, match="^matrix must be two-dimensional$"):
+        checked_square_matrix(matrix)
