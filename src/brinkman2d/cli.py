@@ -62,6 +62,17 @@ def write_scalar_field(path, grid: StaggeredGrid, values, name: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output directory that ``os.makedirs`` could not make, before
+    any work: the nearest existing component of ``path`` must be a directory."""
+    head = path
+    while head and not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigError("output.dir", f"{path!r} cannot be a directory: {head!r} exists "
+                                        "and is not one")
+
+
 def run_solve(config: RunConfig, quiet: bool = False) -> int:
     grid = build_grid(config.nx, config.ny)
     kstar = normalize(_field_for(config, grid))
@@ -233,6 +244,7 @@ def main(argv=None) -> int:
         config = parse_config(args.config)
         if args.out is not None:
             config = dataclasses.replace(config, out_dir=args.out)  # checked like output.dir
+        _check_out_dir(config.out_dir)
         if args.command == "sweep" and config.da_values is None:
             raise ConfigError("sweep.da", "a sweep requires a da list")
         if args.command != "sweep" and config.da_values is not None:

@@ -10,11 +10,14 @@ solved by back substitution.  The Hessenberg is stored row-packed, its
 upper triangle and subdiagonal only, in one 1-D array.  The basis and
 that store are allocated once per solve and reused by every restart
 cycle.  Both come from ``np.empty``; the solve hands the freed heap back
-to the OS on return, where a freed block would stay resident.  The
-reference path is a sparse LU factorization (SuperLU) used as the oracle
-in verification runs.  Full GMRES (restart = maxit) is the default,
-matching the replication setting of the regime study; restarting is
-exposed for experimentation.
+to the OS on return, where a freed block would stay resident.  A cycle
+forms its residual in the basis row ``Q[0]``, and a step forms both CGS2
+corrections in the row ``Q[k + 1]`` that its normalized vector then
+fills, so beyond the workspace a solve holds only the iterate, one
+product ``A v`` and the new vector.  The reference path is a sparse LU
+factorization (SuperLU) used as the oracle in verification runs.  Full
+GMRES (restart = maxit) is the default, matching the replication
+setting of the regime study; restarting is exposed for experimentation.
 """
 
 from __future__ import annotations
@@ -184,8 +187,8 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
     breakdown = False
 
     while True:
-        r = b - A @ x
-        r_norm = float(np.linalg.norm(r))
+        np.subtract(b, A @ x, out=Q[0])  # the residual, normalized below
+        r_norm = float(np.linalg.norm(Q[0]))
         final_relres = r_norm / b_norm
         if final_relres <= cfg.tol or total_iters >= maxit or breakdown:
             break
@@ -195,7 +198,7 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
         singular = False  # a rounding-level rotated diagonal in this cycle
         omega[0] = 1.0
         g = [r_norm]
-        np.divide(r, r_norm, out=Q[0])
+        Q[0] /= r_norm
 
         for k in range(m):
             with np.errstate(over="ignore"):
@@ -204,11 +207,13 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
             if not math.isfinite(w_scale):
                 raise NumericOverflowError("the product norm ||A q|| overflows double "
                                            f"precision at iteration {total_iters + 1}")
+            # classical Gram-Schmidt, run twice (CGS2); each correction is
+            # formed in Q[k + 1], outside Qk, which the normalized w overwrites
             Qk = Q[: k + 1]
-            h = Qk @ w  # classical Gram-Schmidt, run twice (CGS2)
-            w -= h @ Qk
+            h = Qk @ w
+            w -= np.matmul(h, Qk, out=Q[k + 1])
             h2 = Qk @ w
-            w -= h2 @ Qk
+            w -= np.matmul(h2, Qk, out=Q[k + 1])
             h += h2
             h_next = float(np.linalg.norm(w))
             H[base[: k + 1] + k] = h
@@ -249,7 +254,7 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
             bottom = H[base[i + 1] + i: base[i + 1] + k_used]
             top[:], bottom[:] = c * top + s * bottom, -s * top + c * bottom
         y = _solve_packed_upper(H, base, g[:k_used], singular)
-        x = x + Q[:k_used].T @ y
+        x += Q[:k_used].T @ y
 
     return x, SolveReport(
         iterations=total_iters,

@@ -380,6 +380,28 @@ class TestSweep:
         assert [row.kappa_flag for row in regime_sweep] == \
             ["pinned"] * 9 + ["pinned-singular"] * 2
 
+    def test_decade_crossings(self, regime_sweep):
+        # the whole convergence curve, not only its last step: per Da, the
+        # first step whose estimate is <= 1e-1, ..., 1e-6; these integers,
+        # unlike the relres digits, hold under every BLAS core and thread split
+        crossings = [
+            [int(np.argmax(row.report.residual_history <= 10.0 ** -d)) for d in range(1, 7)]
+            for row in regime_sweep
+        ]
+        assert crossings == [
+            [1063, 1099, 1116, 1126, 1134, 1142],
+            [1063, 1100, 1116, 1126, 1134, 1142],
+            [1059, 1099, 1115, 1125, 1132, 1142],
+            [1010, 1049, 1096, 1111, 1120, 1129],
+            [17, 827, 884, 947, 986, 1019],
+            [8, 47, 625, 690, 758, 828],
+            [6, 28, 39, 389, 462, 546],
+            [4, 17, 27, 34, 240, 314],
+            [4, 17, 28, 32, 40, 126],
+            [4, 18, 24, 31, 35, 44],
+            [4, 18, 24, 27, 33, 37],
+        ]
+
     def test_readme_quotes_this_sweep(self, regime_sweep):
         # the iteration sequence and kappa endpoints README quotes, so an
         # edit that moves them cannot leave the text stale

@@ -768,6 +768,26 @@ class TestErrorPaths:
                        f"{command} would ignore it; delete this line\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify", "gen-field"])
+    def test_out_under_a_file_exits_2_before_the_field_is_built(
+            self, tmp_path, capsys, monkeypatch, command):
+        # os.makedirs would fail only once the run is done, losing its results
+        def no_field(*args, **kwargs):
+            raise AssertionError(f"built the field of a {command} that cannot write its output")
+
+        monkeypatch.setattr(brinkman2d.cli, "_field_for", no_field)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        da = "sweep.da = 1e-3,1e3\n" if command == "sweep" else ""
+        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "ignored") + da)
+        for out in (taken, taken / "run", taken / "run" / "deeper"):
+            assert main([command, cfg, "--out", str(out), "--quiet"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: config key 'output.dir': {str(out)!r} cannot be a directory: "
+                f"{str(taken)!r} exists and is not one\n")
+        assert taken.read_text() == "keep\n"
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
+
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     @pytest.mark.parametrize("fix, cause", [
         ({"scales.l_ref": "1e5", "scales.k_max": "1e-320"},

@@ -372,6 +372,23 @@ class TestGmres:
         assert report.workspace_bytes == ((m + 1) * n + m * (m + 1) // 2 + m) * 8
         assert peak < 1.5 * report.workspace_bytes
 
+    def test_residual_and_corrections_live_in_the_basis(self):
+        # beyond its workspace GMRES(50) holds x, A @ x and w, ~3.1
+        # n-vectors: the cycle residual is formed in Q[0] and both CGS2
+        # corrections in Q[k + 1], where a fresh r and two h @ Qk products
+        # made it ~5.2; a copy of Qk made because out=Q[k + 1] were judged
+        # to overlap it would show here too
+        A, b = layered_system(64, 1e3)
+        n = b.size
+        tracemalloc.start()
+        try:
+            _, report = gmres_solve(A, b, SolverConfig(tol=1e-6, maxit=120, restart=50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.iterations, report.cycles) == (120, 3)
+        assert peak <= report.workspace_bytes + 4 * 8 * n
+
     @pytest.mark.parametrize("system, cfg, breakdown", [
         (lambda: layered_system(8, 1e-3), SolverConfig(tol=1e-6, maxit=208), False),
         (lambda: (np.array([[1.0, 1.0], [0.0, 2.0]]), np.array([-0.5, 0.5])),
