@@ -30,17 +30,6 @@ from .media import (
 from .scaling import classify_regime
 from .solvers import gmres_solve
 
-#: Fixed verification suite, in report order.
-VERIFY_CHECKS = (
-    "uniform_flow",
-    "divergence",
-    "convergence_order",
-    "darcy_limit",
-    "stokes_limit",
-    "nullspace",
-)
-
-
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
         print(message)
@@ -73,15 +62,20 @@ def _check_out_dir(path: str) -> None:
                                         "and is not one")
 
 
+def _solve_configured(config: RunConfig, grid: StaggeredGrid, kstar):
+    """The configured system on ``kstar``, solved by GMRES: ``(x, report,
+    max |div u|)``."""
+    system = assemble_monolithic(grid, kstar, config.effective_anna(),
+                                 BoundaryData(config.gx, config.gy),
+                                 pin_pressure=config.pin_pressure)
+    x, report = gmres_solve(system.matrix, system.rhs, config.solver_config())
+    return x, report, analysis.check_divergence(grid, x[: grid.n_velocity])
+
+
 def run_solve(config: RunConfig, quiet: bool = False) -> int:
     grid = build_grid(config.nx, config.ny)
-    kstar = normalize(_field_for(config, grid))
-    bc = BoundaryData(config.gx, config.gy)
+    x, report, div_max = _solve_configured(config, grid, normalize(_field_for(config, grid)))
     anna = config.effective_anna()
-    system = assemble_monolithic(grid, kstar, anna, bc, pin_pressure=config.pin_pressure)
-
-    x, report = gmres_solve(system.matrix, system.rhs, config.solver_config())
-    div_max = analysis.check_divergence(grid, x[: grid.n_velocity])
 
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
@@ -160,7 +154,6 @@ def run_verify(config: RunConfig, quiet: bool = False) -> int:
         # no flow: uniform_flow and divergence would pass vacuously and the
         # Darcy limit would compare zero with zero
         raise ConfigError("bc.gx", "verify needs nonzero wall data, but bc.gx and bc.gy are both 0")
-    results: dict[str, tuple[bool, str]] = {}
     grid = build_grid(config.nx, config.ny)
     anna = config.effective_anna()
     field = _field_for(config, grid)  # a field the grid cannot hold fails here
@@ -168,49 +161,40 @@ def run_verify(config: RunConfig, quiet: bool = False) -> int:
 
     # uniform flow: constant data and uniform K* admit an exact discrete solution
     err = analysis.uniform_flow_error(grid, anna, config.gx, config.gy)
-    results["uniform_flow"] = (err <= 1e-10, f"max relative error {err:.3e} (<= 1e-10)")
-
     # divergence of a converged iterative solve on the configured problem
-    bc = BoundaryData(config.gx, config.gy)
-    system = assemble_monolithic(grid, kstar, anna, bc, pin_pressure=config.pin_pressure)
-    xg, report = gmres_solve(system.matrix, system.rhs, config.solver_config())
-    div = analysis.check_divergence(grid, xg[: grid.n_velocity])
+    xg, report, div = _solve_configured(config, grid, kstar)
     bound = 10.0 * config.tol * analysis.l2_norm(xg[: grid.n_velocity])
-    detail = f"converged={report.converged}, max divergence {div:.3e} (<= {bound:.3e})"
-    results["divergence"] = (report.converged and div <= bound, detail)
-
     # manufactured-solution convergence order
-    study = analysis.manufactured_run((16, 32, 64), anna=1.0)
-    orders = ", ".join(f"{v:.2f}" for v in study.velocity_orders)
-    ok = bool(np.all((study.velocity_orders >= 1.7) & (study.velocity_orders <= 2.3)))
-    results["convergence_order"] = (ok, f"velocity orders [{orders}] (in [1.7, 2.3])")
-
+    orders = analysis.manufactured_run((16, 32, 64), anna=1.0).velocity_orders
     # limiting models on a 16x16 grid: the configured generator, or for a
     # field file, which fits only its own grid, the layered one at its contrasts
     vgrid = build_grid(16, 16)
     pattern = config.field_pattern or "layered"
     vfield = generate_contrast_field(vgrid, field.contrast_x, field.contrast_y, pattern,
                                      config.seed)
-    limits = analysis.limit_checks(vgrid, vfield, bc)  # bc does not depend on the grid
+    limits = analysis.limit_checks(vgrid, vfield, BoundaryData(config.gx, config.gy))
     darcy, stokes = limits.darcy_rel_diff, limits.stokes_rel_diff
-    results["darcy_limit"] = (darcy <= 1e-3, f"relative difference {darcy:.3e} (<= 1e-3) on "
-                              f"the 16x16 {pattern} field, contrasts {vfield.contrast_x:.3e}, "
-                              f"{vfield.contrast_y:.3e}")
-    results["stokes_limit"] = (stokes <= 1e-3, f"relative difference {stokes:.3e} (<= 1e-3)")
-
     # constant-pressure nullspace of the unpinned matrix
     worst = analysis.nullspace_residual((4, 8, 20), anna)
-    results["nullspace"] = (worst <= 1e-14, f"relative residual {worst:.3e} (<= 1e-14)")
 
-    lines = []
-    for name in VERIFY_CHECKS:
-        ok, detail = results[name]
-        lines.append(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
-    report_text = "\n".join(lines) + "\n"
-    print(report_text, end="")
+    checks = (
+        ("uniform_flow", err <= 1e-10, f"max relative error {err:.3e} (<= 1e-10)"),
+        ("divergence", report.converged and div <= bound,
+         f"converged={report.converged}, max divergence {div:.3e} (<= {bound:.3e})"),
+        ("convergence_order", bool(np.all((orders >= 1.7) & (orders <= 2.3))),
+         f"velocity orders [{', '.join(f'{v:.2f}' for v in orders)}] (in [1.7, 2.3])"),
+        ("darcy_limit", darcy <= 1e-3,
+         f"relative difference {darcy:.3e} (<= 1e-3) on the 16x16 {pattern} field, "
+         f"contrasts {vfield.contrast_x:.3e}, {vfield.contrast_y:.3e}"),
+        ("stokes_limit", stokes <= 1e-3, f"relative difference {stokes:.3e} (<= 1e-3)"),
+        ("nullspace", worst <= 1e-14, f"relative residual {worst:.3e} (<= 1e-14)"),
+    )
+    text = "\n".join(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})"
+                     for name, ok, detail in checks)
+    _say(quiet, text)
     os.makedirs(config.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(config.out_dir, "verify_report.txt"), report_text)
-    return 0 if all(ok for ok, _ in results.values()) else 1
+    atomic_write_text(os.path.join(config.out_dir, "verify_report.txt"), text + "\n")
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def _commands() -> dict:

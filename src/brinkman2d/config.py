@@ -120,6 +120,14 @@ class RunConfig:
             )
         if self.field_pattern is not None and self.field_pattern not in PATTERNS:
             raise ConfigError("field.pattern", f"must be one of {PATTERNS}, got {self.field_pattern!r}")
+        if self.field_path is not None:
+            # write_config leaves the generator keys out, so only their defaults parse back
+            for key in _GENERATOR_KEYS:
+                name = _KEYS[key][0]
+                value = getattr(self, name)
+                if value != self.__dataclass_fields__[name].default:
+                    raise ConfigError(key, f"the field comes from field.path, so {key} = "
+                                           f"{value!r} would be ignored; delete this line")
         for key, contrast in (("field.contrast_x", self.contrast_x),
                               ("field.contrast_y", self.contrast_y)):
             if not (np.isfinite(contrast) and contrast >= 1.0):

@@ -69,13 +69,11 @@ class MonolithicSystem:
 
 
 def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Canonical CSR (duplicates summed, indices sorted) from lists of triplet arrays."""
-    mat = sp.coo_matrix(
+    """Canonical CSR (duplicates summed, indices sorted, as ``tocsr`` returns
+    it) from lists of triplet arrays."""
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     ).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
 
 
 def assemble_laplacian(grid: StaggeredGrid) -> sp.csr_matrix:

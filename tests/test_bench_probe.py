@@ -1,6 +1,7 @@
 """The benchmark's probe process, ``bench/probe.py``, on each workload's
 config.  Every benchmark run spawns it, so a library change that breaks
-what it imports or calls fails every run; this catches it in the tests."""
+what it imports or calls fails every run; this catches it in the tests.
+So does the check of the ``verify-8`` workload on ``verify``'s output."""
 
 import json
 import os
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from brinkman2d.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -35,3 +38,13 @@ def test_probe_setup_and_info_run_on_workload_config(tmp_path, name):
         assert run.returncode == 0, (mode, run.stderr)
     info = json.loads(runs["info"].stdout)
     assert (info["n_total"], info["nnz"]) == SYSTEM_SIZES[name]
+
+
+def test_verify_passes_the_benchmark_check(tmp_path, capsys):
+    # the benchmark reads verify's check names and their order from stdout
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(WORKLOADS["verify-8"].config_text(11))
+    out = str(tmp_path / "out")
+    code = main(["verify", str(cfg), "--out", out])
+    outcome = WORKLOADS["verify-8"].check(out, capsys.readouterr().out, code)
+    assert outcome.ok, outcome.reason

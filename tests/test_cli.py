@@ -24,8 +24,9 @@ from brinkman2d import (
     parse_config,
     write_config,
 )
-from brinkman2d.cli import VERIFY_CHECKS, main, write_scalar_field
+from brinkman2d.cli import main, write_scalar_field
 from brinkman2d.config import ConfigError, parse_config_text
+from brinkman2d.media import PATTERNS
 from conftest import blas_info
 
 
@@ -202,6 +203,51 @@ class TestConfig:
         with pytest.raises(ConfigError) as info:
             RunConfig(nx=2, ny=2, anna=1.0, field_pattern="layered", **{f"contrast_{axis}": 0.5})
         assert info.value.key == key
+
+    def test_round_trip_of_drawn_configs(self, tmp_path):
+        # both field sources, anna or scales, each optional key set or left
+        # out; a field.path config that sets a generator key is refused
+        rng = np.random.default_rng(27)
+        generator = {
+            "contrast_x": lambda: float(10.0 ** rng.uniform(0.1, 6)),
+            "contrast_y": lambda: float(10.0 ** rng.uniform(0.1, 6)),
+            "seed": lambda: int(rng.integers(1, 1000)),
+        }
+        optional = {
+            "gx": lambda: float(rng.normal()),
+            "gy": lambda: float(rng.normal()),
+            "tol": lambda: float(10.0 ** rng.uniform(-12, -1)),
+            "maxit": lambda: int(rng.integers(1, 5000)),
+            "restart": lambda: int(rng.integers(1, 200)),
+            "pin_pressure": lambda: bool(rng.integers(2)),
+            "da_values": lambda: tuple(np.unique(10.0 ** rng.uniform(-5, 5, rng.integers(1, 6)))),
+            "out_dir": lambda: f"runs/{rng.integers(100)}",
+            "timings": lambda: bool(rng.integers(2)),
+        }
+        path = tmp_path / "cfg.txt"
+        kinds = set()
+        for _ in range(200):
+            settings = {"nx": int(rng.integers(1, 64)), "ny": int(rng.integers(1, 64))}
+            if rng.integers(2):
+                settings["anna"] = float(10.0 ** rng.uniform(-5, 5))
+            else:
+                settings["scales"] = ReferenceScales(*(10.0 ** rng.uniform(-3, 3, 4)).tolist())
+            if rng.integers(2):
+                settings["field_path"] = "fields/k.txt"
+            else:
+                settings["field_pattern"] = str(rng.choice(PATTERNS))
+            draws = {**generator, **optional}
+            settings.update({name: draw() for name, draw in draws.items() if rng.integers(2)})
+            if "field_path" in settings and generator.keys() & settings.keys():
+                with pytest.raises(ConfigError, match="field.path"):
+                    RunConfig(**settings)
+                kinds.add("refused")
+                continue
+            config = RunConfig(**settings)
+            kinds.add((config.anna is None, config.field_path is None))
+            write_config(config, path)
+            assert parse_config(path) == config, path.read_text()
+        assert len(kinds) == 5
 
     @pytest.mark.parametrize("key, value", [
         ("anna", float("nan")),
@@ -533,6 +579,15 @@ field.contrast_y = 1e2
 solver.tol = 1e-8
 output.dir = {out}
 """
+#: The verification suite's checks, in report order.
+VERIFY_CHECKS = (
+    "uniform_flow",
+    "divergence",
+    "convergence_order",
+    "darcy_limit",
+    "stokes_limit",
+    "nullspace",
+)
 
 
 class TestVerifyCommand:
@@ -546,6 +601,14 @@ class TestVerifyCommand:
         for name in VERIFY_CHECKS:
             assert any(ln.startswith(f"{name}: PASS") for ln in lines)
         assert (out / "verify_report.txt").read_text().count("PASS") == 6
+
+    def test_quiet_prints_nothing_and_still_writes_the_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, VERIFY_CFG.format(out=out))
+        assert main(["verify", cfg, "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        lines = (out / "verify_report.txt").read_text().splitlines()
+        assert [ln.split(":")[0] for ln in lines if ": PASS (" in ln] == list(VERIFY_CHECKS)
 
     @pytest.mark.parametrize("gx", ["1e-200", "1e-160", "1e5", "1e8"])
     def test_verdict_does_not_depend_on_the_units_of_the_wall_data(self, tmp_path, capsys, gx):
@@ -865,6 +928,23 @@ class TestErrorPaths:
             assert str(path) in err and cause in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("field.contrast_x", "1e5"), ("field.contrast_y", "10"), ("field.seed", "7"),
+    ])
+    def test_generator_key_of_a_field_path_run_exits_2(self, tmp_path, capsys, key, value):
+        # config_resolved.txt leaves the generator keys out, so a set one
+        # would re-parse to its default; the run refuses it instead
+        field = tmp_path / "k.txt"
+        field.write_text("2 2\n" + "1 1\n" * 4)
+        text = (f"grid.nx = 2\ngrid.ny = 2\nanna = 1.0\nfield.path = {field}\n"
+                f"output.dir = {tmp_path / 'out'}\n")
+        ok = tmp_path / "ok"
+        assert main(["solve", write_cfg(tmp_path, text), "--out", str(ok), "--quiet"]) == 0
+        assert main(["solve", write_cfg(tmp_path, text + f"{key} = {value}\n")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{key}'") and "field.path" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         # a UTF-16 file with its byte-order mark, as some editors save text
         cfg = tmp_path / "run.cfg"
@@ -940,7 +1020,8 @@ SUBNORMAL_FIELD = "4 4\n1e300 1\n" + "1e-10 1\n" * 15
                "field.contrast_y": "1e300"},
      "the product norm ||A q|| overflows double precision at iteration 1"),
     # SUBNORMAL_FIELD normalizes to K* = 1e-310 in kxx, whose drag is infinite
-    ("solve", {"field.pattern": None, "field.path": "k.txt"},
+    ("solve", {"field.pattern": None, "field.contrast_x": None, "field.contrast_y": None,
+               "field.path": "k.txt"},
      "the drag 1/K* overflows double precision on 19 faces"),
 ], ids=["solve-anna", "verify-anna", "solve-gx", "verify-gx", "sweep-da", "sweep-da-matrix",
         "solve-product", "solve-drag", "solve-drag-lognormal", "solve-drag-subnormal-field"])
@@ -972,7 +1053,8 @@ def test_field_whose_normalized_k_underflows_exits_2(tmp_path, capfd):
     field = tmp_path / "k.txt"
     field.write_text("4 4\n" + "1e-300 1e300\n" * 16)
     text = OVERFLOW_BASE.format(out=tmp_path / "out").replace(
-        "field.pattern = layered", f"field.path = {field}")
+        "field.pattern = layered\nfield.contrast_x = 1e2\nfield.contrast_y = 1e2",
+        f"field.path = {field}")
     cfg = write_cfg(tmp_path, text)
     assert main(["solve", cfg, "--quiet"]) == 2
     captured = capfd.readouterr()
