@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 numerical failure (non-convergence or a failing
 verification check), 2 usage or configuration error, including finite
-config values whose scale overflows double precision.
+config values whose scale overflows double precision and an input too
+large to allocate.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -154,6 +156,12 @@ def run_verify(config: RunConfig, quiet: bool = False) -> int:
         # no flow: uniform_flow and divergence would pass vacuously and the
         # Darcy limit would compare zero with zero
         raise ConfigError("bc.gx", "verify needs nonzero wall data, but bc.gx and bc.gy are both 0")
+    # every check is linear in the wall data and reads it relative to its
+    # size: run them on the data scaled by the exact power of two that brings
+    # the larger value into [1, 2), so subnormal data loses no digits
+    exponent = math.frexp(max(abs(config.gx), abs(config.gy)))[1] - 1
+    config = dataclasses.replace(config, gx=math.ldexp(config.gx, -exponent),
+                                 gy=math.ldexp(config.gy, -exponent))
     grid = build_grid(config.nx, config.ny)
     anna = config.effective_anna()
     field = _field_for(config, grid)  # a field the grid cannot hold fails here
@@ -180,7 +188,8 @@ def run_verify(config: RunConfig, quiet: bool = False) -> int:
     checks = (
         ("uniform_flow", err <= 1e-10, f"max relative error {err:.3e} (<= 1e-10)"),
         ("divergence", report.converged and div <= bound,
-         f"converged={report.converged}, max divergence {div:.3e} (<= {bound:.3e})"),
+         f"converged={report.converged}, max divergence {math.ldexp(div, exponent):.3e} "
+         f"(<= {math.ldexp(bound, exponent):.3e})"),  # in the config's units
         ("convergence_order", bool(np.all((orders >= 1.7) & (orders <= 2.3))),
          f"velocity orders [{', '.join(f'{v:.2f}' for v in orders)}] (in [1.7, 2.3])"),
         ("darcy_limit", darcy <= 1e-3,
@@ -239,6 +248,9 @@ def main(argv=None) -> int:
     except (ConfigError, FieldFormatError, InvalidFieldError, NumericOverflowError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -182,6 +182,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             values[name] = parse(value)
         except ValueError as exc:
             raise ConfigError(key, f"{source}:{lineno}: not {expected}: {value!r}") from exc
+        except MemoryError as exc:  # a logspace count too large to allocate
+            raise ConfigError(key, f"{source}:{lineno}: {value!r} does not fit in memory") from exc
 
     for key in ("grid.nx", "grid.ny"):
         if _KEYS[key][0] not in values:

@@ -11,10 +11,11 @@ upper triangle and subdiagonal only, in one 1-D array.  The basis and
 that store are allocated once per solve and reused by every restart
 cycle.  Both come from ``np.empty``; the solve hands the freed heap back
 to the OS on return, where a freed block would stay resident.  A cycle
-forms its residual in the basis row ``Q[0]``, and a step forms both CGS2
+forms its residual in the basis row ``Q[0]``, a step forms both CGS2
 corrections in the row ``Q[k + 1]`` that its normalized vector then
-fills, so beyond the workspace a solve holds only the iterate, one
-product ``A v`` and the new vector.  The reference path is a sparse LU
+fills, each product ``A v`` goes before the next is allocated, and a
+cycle forms its update in the last one, so beyond the workspace a solve
+holds only the iterate and one product.  The reference path is a sparse LU
 factorization (SuperLU) used as the oracle in verification runs.  Full
 GMRES (restart = maxit) is the default, matching the replication
 setting of the regime study; restarting is exposed for experimentation.
@@ -201,6 +202,7 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
         Q[0] /= r_norm
 
         for k in range(m):
+            w = None  # the last product goes before the next is allocated
             with np.errstate(over="ignore"):
                 w = A @ Q[k]
                 w_scale = float(np.linalg.norm(w))
@@ -254,7 +256,8 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
             bottom = H[base[i + 1] + i: base[i + 1] + k_used]
             top[:], bottom[:] = c * top + s * bottom, -s * top + c * bottom
         y = _solve_packed_upper(H, base, g[:k_used], singular)
-        x += Q[:k_used].T @ y
+        x += np.matmul(Q[:k_used].T, y, out=w)  # the update, in the last product
+        w = None  # gone before the next residual's product A @ x
 
     return x, SolveReport(
         iterations=total_iters,

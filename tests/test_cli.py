@@ -610,7 +610,8 @@ class TestVerifyCommand:
         lines = (out / "verify_report.txt").read_text().splitlines()
         assert [ln.split(":")[0] for ln in lines if ": PASS (" in ln] == list(VERIFY_CHECKS)
 
-    @pytest.mark.parametrize("gx", ["1e-200", "1e-160", "1e5", "1e8"])
+    @pytest.mark.parametrize("gx", ["1e-200", "1e-160", "1e5", "1e8", "1e308",
+                                    "1e-312", "1e-320", "5e-324"])  # the last three subnormal
     def test_verdict_does_not_depend_on_the_units_of_the_wall_data(self, tmp_path, capsys, gx):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, VERIFY_CFG.format(out=out) + f"bc.gx = {gx}\n")
@@ -620,6 +621,14 @@ class TestVerifyCommand:
         # the detail printed at bc.gx = 1
         assert ("darcy_limit: PASS (relative difference 2.126e-06 (<= 1e-3) on the 16x16 "
                 "layered field, contrasts 1.000e+02, 1.000e+02)") in lines
+        # the divergence and its bound print in the config's units: at bc.gx = 1
+        # they read 3.750e-07 and 8.596e-07, and at normal data they scale with it
+        divergence = next(ln for ln in lines if ln.startswith("divergence: PASS ("))
+        printed = [float(v) for v in divergence.removesuffix("))").split("max divergence ")[1]
+                   .split(" (<= ")]
+        if float(gx) >= np.finfo(float).tiny:
+            assert printed == pytest.approx([3.750e-07 * float(gx), 8.596e-07 * float(gx)],
+                                            rel=1e-3)
 
     def test_field_file_verifies_like_the_config_that_wrote_it(self, tmp_path, capsys):
         # a field file holds one grid's cells, so the 16x16 limit checks of a
@@ -910,6 +919,35 @@ class TestErrorPaths:
         assert "0.0 GiB of physical memory" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "gen-field", "verify"])
+    def test_field_that_cannot_be_allocated_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        # stands in for grid.nx = grid.ny = 200000, whose 298 GiB field numpy
+        # refuses; a real request that large could be granted under overcommit
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(brinkman2d.cli, "generate_contrast_field", refuse)
+        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "out"))
+        assert main([command, cfg]) == 2
+        assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 298. GiB "
+                                           "for an array\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_da_list_that_cannot_be_allocated_is_a_config_error(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(brinkman2d.config.np, "logspace", refuse)
+        spec = "logspace:0,1,100000000000"
+        cfg = write_cfg(tmp_path, SWEEP_CFG.format(out=tmp_path / "out").replace(
+            "sweep.da = 1e-1,1.0,1e1", f"sweep.da = {spec}"))
+        assert main(["sweep", cfg]) == 2
+        assert capsys.readouterr().err == (f"error: config key 'sweep.da': {cfg}:10: "
+                                           f"{spec!r} does not fit in memory\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_field_file(self, tmp_path, capsys):
         # a missing file, then files the field reader refuses
         for name, text, cause in [
@@ -1008,7 +1046,6 @@ SUBNORMAL_FIELD = "4 4\n1e300 1\n" + "1e-10 1\n" * 15
     ("solve", {"anna": "1e300"}, "the rhs norm ||b|| overflows double precision"),
     ("verify", {"anna": "1e300"}, "the rhs norm ||b|| overflows double precision"),
     ("solve", {"bc.gx": "1e308"}, "the rhs overflows double precision"),
-    ("verify", {"bc.gx": "1e308"}, "the rhs overflows double precision"),
     ("sweep", {"sweep.da": "1e300,1e301"}, "the rhs norm ||b|| overflows double precision"),
     ("sweep", {"sweep.da": "1e308"}, "anna = 1.00000e+308 overflows the matrix"),
     ("solve", {"anna": "1e306", "bc.gx": "1e-300"},
@@ -1023,7 +1060,7 @@ SUBNORMAL_FIELD = "4 4\n1e300 1\n" + "1e-10 1\n" * 15
     ("solve", {"field.pattern": None, "field.contrast_x": None, "field.contrast_y": None,
                "field.path": "k.txt"},
      "the drag 1/K* overflows double precision on 19 faces"),
-], ids=["solve-anna", "verify-anna", "solve-gx", "verify-gx", "sweep-da", "sweep-da-matrix",
+], ids=["solve-anna", "verify-anna", "solve-gx", "sweep-da", "sweep-da-matrix",
         "solve-product", "solve-drag", "solve-drag-lognormal", "solve-drag-subnormal-field"])
 def test_overflowing_finite_input_exits_2(tmp_path, capfd, monkeypatch, command, fix, cause):
     # finite config values whose scale overflows double precision: one error
