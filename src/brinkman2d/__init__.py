@@ -29,7 +29,6 @@ from .discretization import (
 )
 from .grid import StaggeredGrid, build_grid
 from .media import (
-    FieldFormatError,
     InvalidFieldError,
     PermeabilityField,
     generate_contrast_field,

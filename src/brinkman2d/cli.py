@@ -22,7 +22,6 @@ from .config import ConfigError, RunConfig, parse_config, write_config
 from .discretization import BoundaryData, assemble_monolithic
 from .grid import StaggeredGrid, build_grid
 from .media import (
-    FieldFormatError,
     InvalidFieldError,
     generate_contrast_field,
     load_field,
@@ -245,8 +244,7 @@ def main(argv=None) -> int:
                                           "would ignore it; delete this line")
         run, _ = _commands()[args.command]
         return run(config, quiet=args.quiet)
-    except (ConfigError, FieldFormatError, InvalidFieldError, NumericOverflowError,
-            OSError) as exc:
+    except (ConfigError, InvalidFieldError, NumericOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -76,11 +76,6 @@ _KEYS = {
     "output.dir": ("out_dir", _TEXT),
     "output.timings": ("timings", _BOOL),
 }
-#: Keys that are gone, each with why a line that sets one must go.
-_REMOVED_KEYS = {
-    "solver.preconditioner": "GMRES always runs unpreconditioned",
-    "scales.u_ref": "solution files are dimensionless, so no velocity scale is read",
-}
 #: Keys of the field generator, left out when the field comes from ``field.path``.
 _GENERATOR_KEYS = ("field.pattern", "field.contrast_x", "field.contrast_y", "field.seed")
 
@@ -98,9 +93,9 @@ class RunConfig:
     field_path: str | None = None
     gx: float = 1.0
     gy: float = 0.0
-    tol: float = 1e-6
-    maxit: int | None = None
-    restart: int | None = None
+    tol: float = SolverConfig.tol
+    maxit: int | None = SolverConfig.maxit
+    restart: int | None = SolverConfig.restart
     pin_pressure: bool = False
     da_values: tuple[float, ...] | None = None
     out_dir: str = "out"
@@ -168,9 +163,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(line, f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _REMOVED_KEYS:
-            raise ConfigError(key, f"{source}:{lineno}: removed; {_REMOVED_KEYS[key]}, "
-                                   "delete this line")
         if key not in _KEYS:
             raise ConfigError(key, f"{source}:{lineno}: unknown key")
         name, (parse, expected, _) = _KEYS[key]

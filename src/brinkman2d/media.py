@@ -22,12 +22,9 @@ PATTERNS = ("layered", "checkerboard", "lognormal")
 
 
 class InvalidFieldError(ValueError):
-    """Permeability entries are non-positive or non-finite, or the grid is
-    too small to realize the requested contrast."""
-
-
-class FieldFormatError(ValueError):
-    """A field file does not match the expected text format."""
+    """A field that cannot be read or built: a field file that does not
+    match the text format, an entry that is not positive and finite, or a
+    grid too small for the requested contrast (or not the field's size)."""
 
 
 def _validated_component(values, n_p: int, name: str) -> np.ndarray:
@@ -105,9 +102,9 @@ def generate_contrast_field(
     Krylov regime transition; the graded bands keep it spread.
     """
     if contrast_x < 1.0 or contrast_y < 1.0:
-        raise ValueError(f"contrasts must be >= 1, got ({contrast_x}, {contrast_y})")
+        raise InvalidFieldError(f"contrasts must be >= 1, got ({contrast_x}, {contrast_y})")
     if pattern not in PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}, expected one of {PATTERNS}")
+        raise InvalidFieldError(f"unknown pattern {pattern!r}, expected one of {PATTERNS}")
 
     ii, jj = (a.ravel() for a in np.meshgrid(np.arange(grid.nx), np.arange(grid.ny)))
     if pattern == "layered":
@@ -151,32 +148,36 @@ def load_field(path, grid: StaggeredGrid) -> PermeabilityField:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise FieldFormatError(
+        raise InvalidFieldError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     rows = [(number, r) for number, r in enumerate(map(str.strip, text.split("\n")), 1)
             if r and not r.startswith("#")]
     if not rows:
-        raise FieldFormatError(f"{path}: empty field file")
+        raise InvalidFieldError(f"{path}: empty field file")
     (_, header), data = rows[0], rows[1:]
     head = header.split()
     if len(head) != 2:
-        raise FieldFormatError(f"{path}: header must be 'nx ny', got {header!r}")
+        raise InvalidFieldError(f"{path}: header must be 'nx ny', got {header!r}")
     try:
         nx, ny = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise FieldFormatError(f"{path}: non-integer header {header!r}") from exc
+        raise InvalidFieldError(f"{path}: non-integer header {header!r}") from exc
     if (nx, ny) != (grid.nx, grid.ny):
-        raise FieldFormatError(f"{path}: field is {nx}x{ny}, grid is {grid.nx}x{grid.ny}")
+        raise InvalidFieldError(f"{path}: field is {nx}x{ny}, grid is {grid.nx}x{grid.ny}")
     if len(data) != grid.n_p:
-        raise FieldFormatError(f"{path}: expected {grid.n_p} data lines, found {len(data)}")
+        raise InvalidFieldError(f"{path}: expected {grid.n_p} data lines, found {len(data)}")
     kxx = np.empty(grid.n_p)
     kyy = np.empty(grid.n_p)
     for n, (number, line) in enumerate(data):
         parts = line.split()
         if len(parts) != 2:
-            raise FieldFormatError(f"{path}: line {number} must hold two numbers, got {line!r}")
+            raise InvalidFieldError(f"{path}: line {number} must hold two numbers, got {line!r}")
         try:
-            kxx[n], kyy[n] = float(parts[0]), float(parts[1])
+            a, b = float(parts[0]), float(parts[1])
         except ValueError as exc:
-            raise FieldFormatError(f"{path}: line {number} is not numeric: {line!r}") from exc
+            raise InvalidFieldError(f"{path}: line {number} is not numeric: {line!r}") from exc
+        if not (0.0 < a < np.inf and 0.0 < b < np.inf):  # nan fails both comparisons
+            raise InvalidFieldError(
+                f"{path}: line {number} must hold two positive finite numbers, got {line!r}")
+        kxx[n], kyy[n] = a, b
     return PermeabilityField(kxx, kyy)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from brinkman2d import (
-    FieldFormatError,
     InvalidFieldError,
     PermeabilityField,
     build_grid,
@@ -144,9 +143,9 @@ def test_lognormal_seeding():
 
 def test_generator_argument_errors():
     grid = build_grid(4, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidFieldError, match="contrasts must be >= 1"):
         generate_contrast_field(grid, 0.5, 1.0, "layered", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidFieldError, match="unknown pattern 'swirl'"):
         generate_contrast_field(grid, 10.0, 10.0, "swirl", 0)
     with pytest.raises(InvalidFieldError, match="grid too small"):
         # a single row cannot carry an x-contrast
@@ -187,15 +186,15 @@ def test_load_format_errors(tmp_path):
     grid = build_grid(2, 2)
     short = tmp_path / "short.txt"
     short.write_text("2 2\n1 1\n1 1\n1 1\n")
-    with pytest.raises(FieldFormatError):
+    with pytest.raises(InvalidFieldError):
         load_field(short, grid)
     wrong_grid = tmp_path / "wrong.txt"
     wrong_grid.write_text("3 3\n" + "1 1\n" * 9)
-    with pytest.raises(FieldFormatError):
+    with pytest.raises(InvalidFieldError):
         load_field(wrong_grid, grid)
     bad_line = tmp_path / "bad.txt"
     bad_line.write_text("2 2\n1 1\n1\n1 1\n1 1\n")
-    with pytest.raises(FieldFormatError):
+    with pytest.raises(InvalidFieldError):
         load_field(bad_line, grid)
     negative = tmp_path / "neg.txt"
     negative.write_text("2 2\n1 1\n1 -1\n1 1\n1 1\n")
@@ -206,10 +205,14 @@ def test_load_format_errors(tmp_path):
 @pytest.mark.parametrize("line, error", [
     ("x 1", "line 5 is not numeric: 'x 1'"),
     ("1", "line 5 must hold two numbers, got '1'"),
-], ids=["not-numeric", "two-numbers"])
+    ("1 -1", "line 5 must hold two positive finite numbers, got '1 -1'"),
+    ("0 1", "line 5 must hold two positive finite numbers, got '0 1'"),
+    ("nan 1", "line 5 must hold two positive finite numbers, got 'nan 1'"),
+    ("1 inf", "line 5 must hold two positive finite numbers, got '1 inf'"),
+], ids=["not-numeric", "two-numbers", "negative", "zero", "nan", "inf"])
 def test_load_error_names_the_file_line(tmp_path, line, error):
     # a comment and a blank line above the header shift every data line
     path = tmp_path / "field.txt"
     path.write_text(f"# generated\n\n2 2\n1 1\n{line}\n1 1\n1 1\n")
-    with pytest.raises(FieldFormatError, match=f"field.txt: {error}$"):
+    with pytest.raises(InvalidFieldError, match=f"field.txt: {error}$"):
         load_field(path, build_grid(2, 2))
