@@ -88,9 +88,11 @@ class LimitCheckReport:
 
 
 def _checked(matrix):
-    """The validated square matrix (CSR or float array) of at most
+    """The validated square matrix (CSR or float array) of 1 to
     ``DENSE_DECOMP_LIMIT`` rows, free of NaN and inf."""
     A = checked_square_matrix(matrix)
+    if A.shape[0] == 0:
+        raise ValueError("matrix is empty: kappa and spectra need at least one row")
     if A.shape[0] > DENSE_DECOMP_LIMIT:
         raise UnsupportedSizeError(
             f"kappa and spectra limited to n <= {DENSE_DECOMP_LIMIT}, got {A.shape[0]}")

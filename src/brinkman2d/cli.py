@@ -31,10 +31,6 @@ from .media import (
 from .scaling import classify_regime
 from .solvers import gmres_solve
 
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
-
 
 def _field_for(config: RunConfig, grid: StaggeredGrid):
     if config.field_path is not None:
@@ -63,6 +59,27 @@ def _check_out_dir(path: str) -> None:
                                         "and is not one")
 
 
+def _check_command(command: str, config: RunConfig) -> None:
+    """Refuse a config that ``command`` cannot run or would partly ignore."""
+    if command == "sweep" and config.da_values is None:
+        raise ConfigError("sweep.da", "a sweep requires a da list")
+    if command != "sweep" and config.da_values is not None:
+        raise ConfigError("sweep.da", f"only sweep reads a da list, so {command} "
+                                      "would ignore it; delete this line")
+    if command == "sweep" and config.scales is not None:
+        raise ConfigError("scales.l_ref", "a sweep takes anna from sweep.da, so the scales "
+                                          "block would be ignored; set anna = 1.0 instead")
+    if command == "sweep" and config.anna != 1.0:
+        raise ConfigError("anna", f"a sweep takes anna from sweep.da, so anna = {config.anna} "
+                                  "would be ignored; set anna = 1.0")
+    if command == "gen-field" and config.field_pattern is None:
+        raise ConfigError("field.pattern", "gen-field requires a generator pattern, not field.path")
+    if command == "verify" and config.gx == 0.0 and config.gy == 0.0:
+        # no flow: uniform_flow and divergence would pass vacuously and the
+        # Darcy limit would compare zero with zero
+        raise ConfigError("bc.gx", "verify needs nonzero wall data, but bc.gx and bc.gy are both 0")
+
+
 def _solve_configured(config: RunConfig, grid: StaggeredGrid, kstar):
     """The configured system on ``kstar``, solved by GMRES: ``(x, report,
     max |div u|)``."""
@@ -73,8 +90,7 @@ def _solve_configured(config: RunConfig, grid: StaggeredGrid, kstar):
     return x, report, analysis.check_divergence(grid, x[: grid.n_velocity])
 
 
-def run_solve(config: RunConfig, quiet: bool = False) -> int:
-    grid = build_grid(config.nx, config.ny)
+def run_solve(config: RunConfig, grid: StaggeredGrid) -> tuple[int, str]:
     x, report, div_max = _solve_configured(config, grid, normalize(_field_for(config, grid)))
     anna = config.effective_anna()
 
@@ -94,23 +110,13 @@ def run_solve(config: RunConfig, quiet: bool = False) -> int:
     )
     write_config(config, os.path.join(out, "config_resolved.txt"))
 
-    _say(
-        quiet,
+    return 0 if report.converged else 1, (
         f"solve: anna={anna:.5e} iterations={report.iterations} "
         f"relres={report.final_relres:.5e} estimated_relres={estimated:.5e} "
-        f"converged={report.converged}",
-    )
-    return 0 if report.converged else 1
+        f"converged={report.converged}")
 
 
-def run_sweep(config: RunConfig, quiet: bool = False) -> int:
-    if config.scales is not None:
-        raise ConfigError("scales.l_ref", "a sweep takes anna from sweep.da, so the scales "
-                                          "block would be ignored; set anna = 1.0 instead")
-    if config.anna != 1.0:
-        raise ConfigError("anna", f"a sweep takes anna from sweep.da, so anna = {config.anna} "
-                                  "would be ignored; set anna = 1.0")
-    grid = build_grid(config.nx, config.ny)
+def run_sweep(config: RunConfig, grid: StaggeredGrid) -> tuple[int, str]:
     field = _field_for(config, grid)
     bc = BoundaryData(config.gx, config.gy)
     rows = analysis.sweep_darcy(
@@ -126,42 +132,30 @@ def run_sweep(config: RunConfig, quiet: bool = False) -> int:
     analysis.write_regime_csv(rows, os.path.join(out, "regime_table.csv"), timings=config.timings)
     write_config(config, os.path.join(out, "config_resolved.txt"))
 
-    for row in rows:
-        _say(
-            quiet,
-            f"da={row.anna:.1e} anna={row.anna:.1e} iters={row.report.iterations} "
-            f"relres={row.report.final_relres:.2e} regime={classify_regime(row.anna)}",
-        )
-    return 0 if all(row.report.converged for row in rows) else 1
+    text = "\n".join(f"da={row.anna:.1e} anna={row.anna:.1e} iters={row.report.iterations} "
+                     f"relres={row.report.final_relres:.2e} regime={classify_regime(row.anna)}"
+                     for row in rows)
+    return 0 if all(row.report.converged for row in rows) else 1, text
 
 
-def run_gen_field(config: RunConfig, quiet: bool = False) -> int:
-    if config.field_pattern is None:
-        raise ConfigError("field.pattern", "gen-field requires a generator pattern, not field.path")
-    grid = build_grid(config.nx, config.ny)
+def run_gen_field(config: RunConfig, grid: StaggeredGrid) -> tuple[int, str]:
     field = _field_for(config, grid)
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "field.txt")
     write_field(path, grid, field)
-    _say(quiet, f"gen-field: wrote {path} (contrast_x={field.contrast_x:.3e}, "
-                f"contrast_y={field.contrast_y:.3e})")
-    return 0
+    return 0, (f"gen-field: wrote {path} (contrast_x={field.contrast_x:.3e}, "
+               f"contrast_y={field.contrast_y:.3e})")
 
 
-def run_verify(config: RunConfig, quiet: bool = False) -> int:
+def run_verify(config: RunConfig, grid: StaggeredGrid) -> tuple[int, str]:
     """Run the fixed six-check verification suite; exit 0 iff all pass."""
-    if config.gx == 0.0 and config.gy == 0.0:
-        # no flow: uniform_flow and divergence would pass vacuously and the
-        # Darcy limit would compare zero with zero
-        raise ConfigError("bc.gx", "verify needs nonzero wall data, but bc.gx and bc.gy are both 0")
     # every check is linear in the wall data and reads it relative to its
     # size: run them on the data scaled by the exact power of two that brings
     # the larger value into [1, 2), so subnormal data loses no digits
     exponent = math.frexp(max(abs(config.gx), abs(config.gy)))[1] - 1
     config = dataclasses.replace(config, gx=math.ldexp(config.gx, -exponent),
                                  gy=math.ldexp(config.gy, -exponent))
-    grid = build_grid(config.nx, config.ny)
     anna = config.effective_anna()
     field = _field_for(config, grid)  # a field the grid cannot hold fails here
     kstar = normalize(field)
@@ -199,15 +193,14 @@ def run_verify(config: RunConfig, quiet: bool = False) -> int:
     )
     text = "\n".join(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})"
                      for name, ok, detail in checks)
-    _say(quiet, text)
     os.makedirs(config.out_dir, exist_ok=True)
     atomic_write_text(os.path.join(config.out_dir, "verify_report.txt"), text + "\n")
-    return 0 if all(ok for _, ok, _ in checks) else 1
+    return 0 if all(ok for _, ok, _ in checks) else 1, text
 
 
 def _commands() -> dict:
-    """Every subcommand: the function that runs it and its help line.  Built
-    per call, so a function rebound on this module is the one that runs."""
+    """Every subcommand: its ``run(config, grid) -> (exit code, stdout text)``
+    and help line.  Built per call, so a function rebound here is the one that runs."""
     return {
         "solve": (run_solve, "assemble and solve one system, write solution fields"),
         "sweep": (run_sweep, "run a Darcy-number sweep and write the regime table CSV"),
@@ -237,13 +230,12 @@ def main(argv=None) -> int:
         if args.out is not None:
             config = dataclasses.replace(config, out_dir=args.out)  # checked like output.dir
         _check_out_dir(config.out_dir)
-        if args.command == "sweep" and config.da_values is None:
-            raise ConfigError("sweep.da", "a sweep requires a da list")
-        if args.command != "sweep" and config.da_values is not None:
-            raise ConfigError("sweep.da", f"only sweep reads a da list, so {args.command} "
-                                          "would ignore it; delete this line")
+        _check_command(args.command, config)
         run, _ = _commands()[args.command]
-        return run(config, quiet=args.quiet)
+        code, text = run(config, build_grid(config.nx, config.ny))
+        if not args.quiet:
+            print(text)
+        return code
     except (ConfigError, InvalidFieldError, NumericOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

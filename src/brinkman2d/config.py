@@ -191,7 +191,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(str(path), f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

@@ -145,7 +145,7 @@ def write_field(path, grid: StaggeredGrid, field: PermeabilityField) -> None:
 def load_field(path, grid: StaggeredGrid) -> PermeabilityField:
     """Read a field file written by :func:`write_field` (row-major, j outer)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise InvalidFieldError(

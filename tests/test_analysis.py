@@ -163,6 +163,15 @@ class TestSparseConditionNumber:
                 with pytest.raises(ValueError, match="matrix has NaN or inf entries"):
                     function(given)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("function", [condition_number, eigen_spectrum],
+                             ids=["kappa", "spectrum"])
+    def test_empty_matrix_rejected(self, function, sparse):
+        given = sp.csr_matrix((0, 0)) if sparse else np.zeros((0, 0))
+        with pytest.raises(ValueError, match="^matrix is empty: kappa and spectra need at "
+                                             "least one row$"):
+            function(given)
+
 
 class TestSpectrum:
     def test_identity_spectrum(self):

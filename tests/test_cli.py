@@ -152,6 +152,14 @@ class TestConfig:
             RunConfig(nx=2, ny=2, anna=1.0, **settings)
         assert info.value.key == key
 
+    def test_byte_order_mark_is_not_read_as_text(self, tmp_path):
+        # some editors save UTF-8 text with a leading U+FEFF, which would
+        # otherwise be the first character of the first key
+        path = tmp_path / "bom.cfg"
+        text = "grid.nx = 3\ngrid.ny = 2\nanna = 1.0\nfield.pattern = layered\n"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_config(path) == parse_config_text(text)
+
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config_text(
             "# header\n\ngrid.nx = 3 # inline\ngrid.ny = 2\nanna = 1.0\n"
@@ -538,24 +546,6 @@ class TestSweepCommand:
             "so anna = 7.0 would be ignored; set anna = 1.0\n")
         assert not out.exists()
 
-    def test_scales_block_exits_2_before_the_field_is_built(self, tmp_path, capsys,
-                                                            monkeypatch):
-        # a sweep sets anna = Da per point, so the scales would be echoed in
-        # config_resolved.txt but never used
-        def no_field(*args, **kwargs):
-            raise AssertionError("built the field of a sweep with a scales block")
-
-        monkeypatch.setattr(brinkman2d.cli, "_field_for", no_field)
-        out = tmp_path / "out"
-        scales = "scales.l_ref = 1.0\nscales.mu = 1.0\nscales.mu_eff = 1.0\nscales.k_max = 1e-3"
-        cfg = write_cfg(tmp_path, SWEEP_CFG.format(out=out).replace("anna = 1.0", scales))
-        assert main(["sweep", cfg, "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key 'scales.l_ref': a sweep takes anna from "
-                              "sweep.da, so the scales block would be ignored")
-        assert err.count("\n") == 1
-        assert not out.exists()
-
     def test_sweep_without_da_list_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=out))
@@ -814,6 +804,42 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == (f"error: config key 'sweep.da': only sweep reads a da list, so "
                        f"{command} would ignore it; delete this line\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, fix, key, message", [
+        ("sweep", {}, "sweep.da", "a sweep requires a da list"),
+        ("solve", {"sweep.da": "1e-3,1e3"}, "sweep.da",
+         "only sweep reads a da list, so solve would ignore it; delete this line"),
+        # a sweep sets anna = Da per point, so the scales would be echoed in
+        # config_resolved.txt but never used
+        ("sweep", {"sweep.da": "1.0", "anna": None, "scales.l_ref": "1.0", "scales.mu": "1.0",
+                   "scales.mu_eff": "1.0", "scales.k_max": "1e-3"}, "scales.l_ref",
+         "a sweep takes anna from sweep.da, so the scales block would be ignored; "
+         "set anna = 1.0 instead"),
+        ("sweep", {"sweep.da": "1.0", "anna": "7.0"}, "anna",
+         "a sweep takes anna from sweep.da, so anna = 7.0 would be ignored; set anna = 1.0"),
+        ("gen-field", {"field.pattern": None, "field.contrast_x": None,
+                       "field.contrast_y": None, "field.path": "k.txt"}, "field.pattern",
+         "gen-field requires a generator pattern, not field.path"),
+        ("verify", {"bc.gx": "0.0"}, "bc.gx",
+         "verify needs nonzero wall data, but bc.gx and bc.gy are both 0"),
+    ], ids=["sweep-without-da", "da-outside-a-sweep", "sweep-scales", "sweep-anna",
+            "gen-field-path", "verify-zero-wall-data"])
+    def test_command_rule_exits_2_before_the_field_is_built(
+            self, tmp_path, capsys, monkeypatch, command, fix, key, message):
+        # each command rule is checked before the grid and the field; a key
+        # fixed to None is left out
+        def no_field(*args, **kwargs):
+            raise AssertionError(f"built the field of a {command} its config cannot run")
+
+        monkeypatch.setattr(brinkman2d.cli, "_field_for", no_field)
+        out = tmp_path / "out"
+        lines = [line for line in UNIFORM_SOLVE.format(out=out).splitlines()
+                 if line.split(" =")[0] not in fix]
+        cfg = write_cfg(tmp_path, "\n".join(lines + [f"{k} = {v}" for k, v in fix.items()
+                                                     if v is not None]) + "\n")
+        assert main([command, cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: config key '{key}': {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "verify", "gen-field"])
@@ -1077,17 +1103,22 @@ def test_field_whose_normalized_k_underflows_exits_2(tmp_path, capfd):
     assert not (tmp_path / "out").exists()
 
 
-def test_each_command_runs_the_function_bound_on_the_module(tmp_path, monkeypatch):
-    # a tracer or a test that rebinds cli.run_<command> sees the call
+def test_each_command_runs_the_function_bound_on_the_module(tmp_path, monkeypatch, capsys):
+    # a tracer or a test that rebinds cli.run_<command> sees the call, on the
+    # config's grid, and main prints the text it returns unless --quiet is given
     calls = []
     for name, (run, _) in brinkman2d.cli._commands().items():
-        monkeypatch.setattr(brinkman2d.cli, run.__name__,
-                            lambda config, quiet, name=name: calls.append((name, quiet)) or 0)
+        monkeypatch.setattr(brinkman2d.cli, run.__name__, lambda config, grid, name=name:
+                            calls.append((name, grid.nx, grid.ny)) or (0, name))
     text = UNIFORM_SOLVE.format(out=tmp_path / "out")
     for name in ("solve", "sweep", "verify", "gen-field"):
         cfg = write_cfg(tmp_path, text + ("sweep.da = 1.0\n" if name == "sweep" else ""))
+        assert main([name, cfg]) == 0
+        assert capsys.readouterr().out == f"{name}\n"
         assert main([name, cfg, "--quiet"]) == 0
-    assert calls == [("solve", True), ("sweep", True), ("verify", True), ("gen-field", True)]
+        assert capsys.readouterr().out == ""
+    assert calls == [(name, 8, 8) for name in ("solve", "sweep", "verify", "gen-field")
+                     for _ in range(2)]
 
 
 def test_console_script_resolves_to_a_callable():

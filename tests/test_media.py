@@ -182,6 +182,15 @@ def test_load_reads_row_major(tmp_path):
     assert list(field.kyy) == [5.0, 6.0, 7.0, 8.0]
 
 
+def test_load_reads_past_a_byte_order_mark(tmp_path):
+    # some editors save UTF-8 text with a leading U+FEFF
+    path = tmp_path / "field.txt"
+    path.write_bytes(b"\xef\xbb\xbf2 2\n1 5\n2 6\n3 7\n4 8\n")
+    field = load_field(path, build_grid(2, 2))
+    assert list(field.kxx) == [1.0, 2.0, 3.0, 4.0]
+    assert list(field.kyy) == [5.0, 6.0, 7.0, 8.0]
+
+
 def test_load_format_errors(tmp_path):
     grid = build_grid(2, 2)
     short = tmp_path / "short.txt"
