@@ -24,6 +24,14 @@ class NumericOverflowError(ValueError):
     names the quantity that did."""
 
 
+def read_utf8_text(path) -> str:
+    """The file's text as UTF-8, without one leading byte-order mark.  It
+    decodes as ``utf-8``, not ``utf-8-sig``, so the ``start`` of a
+    ``UnicodeDecodeError`` is the file offset of the bad byte."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read().removeprefix("\ufeff")
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file and rename, so readers never see a torn file."""
     path = os.fspath(path)

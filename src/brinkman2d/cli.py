@@ -78,6 +78,10 @@ def _check_command(command: str, config: RunConfig) -> None:
         # no flow: uniform_flow and divergence would pass vacuously and the
         # Darcy limit would compare zero with zero
         raise ConfigError("bc.gx", "verify needs nonzero wall data, but bc.gx and bc.gy are both 0")
+    if command == "verify" and min(config.nx, config.ny) < 2:
+        # the lid-driven Stokes limit flow is zero on a grid one cell wide
+        raise ConfigError("grid.nx" if config.nx < 2 else "grid.ny",
+                          f"verify needs a grid of at least 2x2, got {config.nx}x{config.ny}")
 
 
 def _solve_configured(config: RunConfig, grid: StaggeredGrid, kstar):
@@ -167,16 +171,11 @@ def run_verify(config: RunConfig, grid: StaggeredGrid) -> tuple[int, str]:
     bound = 10.0 * config.tol * analysis.l2_norm(xg[: grid.n_velocity])
     # manufactured-solution convergence order
     orders = analysis.manufactured_run((16, 32, 64), anna=1.0).velocity_orders
-    # limiting models on a 16x16 grid: the configured generator, or for a
-    # field file, which fits only its own grid, the layered one at its contrasts
-    vgrid = build_grid(16, 16)
-    pattern = config.field_pattern or "layered"
-    vfield = generate_contrast_field(vgrid, field.contrast_x, field.contrast_y, pattern,
-                                     config.seed)
-    limits = analysis.limit_checks(vgrid, vfield, BoundaryData(config.gx, config.gy))
+    # limiting models on the configured grid and field
+    limits = analysis.limit_checks(grid, field, BoundaryData(config.gx, config.gy))
     darcy, stokes = limits.darcy_rel_diff, limits.stokes_rel_diff
-    # constant-pressure nullspace of the unpinned matrix
-    worst = analysis.nullspace_residual((4, 8, 20), anna)
+    # constant-pressure nullspace of the configured unpinned matrix
+    worst = analysis.nullspace_residual(grid, kstar, anna)
 
     checks = (
         ("uniform_flow", err <= 1e-10, f"max relative error {err:.3e} (<= 1e-10)"),
@@ -185,9 +184,7 @@ def run_verify(config: RunConfig, grid: StaggeredGrid) -> tuple[int, str]:
          f"(<= {math.ldexp(bound, exponent):.3e})"),  # in the config's units
         ("convergence_order", bool(np.all((orders >= 1.7) & (orders <= 2.3))),
          f"velocity orders [{', '.join(f'{v:.2f}' for v in orders)}] (in [1.7, 2.3])"),
-        ("darcy_limit", darcy <= 1e-3,
-         f"relative difference {darcy:.3e} (<= 1e-3) on the 16x16 {pattern} field, "
-         f"contrasts {vfield.contrast_x:.3e}, {vfield.contrast_y:.3e}"),
+        ("darcy_limit", darcy <= 1e-3, f"relative difference {darcy:.3e} (<= 1e-3)"),
         ("stokes_limit", stokes <= 1e-3, f"relative difference {stokes:.3e} (<= 1e-3)"),
         ("nullspace", worst <= 1e-14, f"relative residual {worst:.3e} (<= 1e-14)"),
     )

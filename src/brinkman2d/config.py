@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ConfigError, atomic_write_text
+from ._util import ConfigError, atomic_write_text, read_utf8_text
 from .media import PATTERNS
 from .scaling import ReferenceScales, check_da_values
 from .solvers import SolverConfig
@@ -191,8 +191,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        text = read_utf8_text(path)
     except UnicodeDecodeError as exc:
         raise ConfigError(str(path), f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_config_text(text, source=str(path))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import NumericOverflowError, atomic_write_text
+from ._util import NumericOverflowError, atomic_write_text, read_utf8_text
 from .grid import StaggeredGrid
 
 PATTERNS = ("layered", "checkerboard", "lognormal")
@@ -145,8 +145,7 @@ def write_field(path, grid: StaggeredGrid, field: PermeabilityField) -> None:
 def load_field(path, grid: StaggeredGrid) -> PermeabilityField:
     """Read a field file written by :func:`write_field` (row-major, j outer)."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        text = read_utf8_text(path)
     except UnicodeDecodeError as exc:
         raise InvalidFieldError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

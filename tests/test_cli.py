@@ -16,13 +16,16 @@ import brinkman2d.cli
 import brinkman2d.config
 import brinkman2d.solvers
 from brinkman2d import (
+    BoundaryData,
     ReferenceScales,
     RunConfig,
     build_grid,
     generate_contrast_field,
     load_field,
+    normalize,
     parse_config,
     write_config,
+    write_field,
 )
 from brinkman2d.cli import main, write_scalar_field
 from brinkman2d.config import ConfigError, parse_config_text
@@ -535,23 +538,6 @@ class TestSweepCommand:
         solve_iters = int((solve_out / "report.csv").read_text().splitlines()[1].split(",")[1])
         assert sweep_iters == solve_iters
 
-    def test_directly_given_anna_other_than_1_exits_2(self, tmp_path, capsys):
-        # a sweep sets anna = Da per point, so another anna would be echoed
-        # in config_resolved.txt but never used
-        out = tmp_path / "out"
-        cfg = write_cfg(tmp_path, SWEEP_CFG.format(out=out).replace("anna = 1.0", "anna = 7.0"))
-        assert main(["sweep", cfg, "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            "error: config key 'anna': a sweep takes anna from sweep.da, "
-            "so anna = 7.0 would be ignored; set anna = 1.0\n")
-        assert not out.exists()
-
-    def test_sweep_without_da_list_is_config_error(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=out))
-        assert main(["sweep", cfg]) == 2
-        assert "sweep.da" in capsys.readouterr().err
-
     def test_eleven_point_log_sweep_gives_eleven_rows(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(
@@ -614,8 +600,7 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split(":")[0] for ln in lines if ": PASS (" in ln] == list(VERIFY_CHECKS)
         # the detail printed at bc.gx = 1
-        assert ("darcy_limit: PASS (relative difference 2.126e-06 (<= 1e-3) on the 16x16 "
-                "layered field, contrasts 1.000e+02, 1.000e+02)") in lines
+        assert "darcy_limit: PASS (relative difference 4.886e-07 (<= 1e-3))" in lines
         # the divergence and its bound print in the config's units: at bc.gx = 1
         # they read 3.750e-07 and 8.596e-07, and at normal data they scale with it
         divergence = next(ln for ln in lines if ln.startswith("divergence: PASS ("))
@@ -625,25 +610,38 @@ class TestVerifyCommand:
             assert printed == pytest.approx([3.750e-07 * float(gx), 8.596e-07 * float(gx)],
                                             rel=1e-3)
 
-    def test_field_file_verifies_like_the_config_that_wrote_it(self, tmp_path, capsys):
-        # a field file holds one grid's cells, so the 16x16 limit checks of a
-        # field.path config run on the layered field at the file's contrasts:
-        # for a layered gen-field file, the field its config generates there
+    def test_field_file_verifies_like_the_config_that_wrote_it(self, tmp_path):
+        # every check runs on the configured grid and field, so a gen-field
+        # file and the config that wrote it give the same report
         gen = write_cfg(tmp_path, VERIFY_CFG.format(out=tmp_path / "gen"), "gen.cfg")
         assert main(["gen-field", gen, "--quiet"]) == 0
-        capsys.readouterr()
         source = "field.pattern = layered\nfield.contrast_x = 1e2\nfield.contrast_y = 1e2"
-        darcy = {}
+        reports = {}
         for name, field in [("path", f"field.path = {tmp_path / 'gen' / 'field.txt'}"),
                             ("config", source)]:
             text = VERIFY_CFG.format(out=tmp_path / name).replace(source, field)
-            assert main(["verify", write_cfg(tmp_path, text, f"{name}.cfg")]) == 0
-            lines = capsys.readouterr().out.splitlines()
-            assert [ln.split(":")[0] for ln in lines if ": PASS (" in ln] == list(VERIFY_CHECKS)
-            darcy[name] = [ln for ln in lines if ln.startswith("darcy_limit: ")]
-        assert darcy["path"] == darcy["config"]
-        assert darcy["path"][0].endswith("on the 16x16 layered field, contrasts 1.000e+02, "
-                                         "1.000e+02)")
+            assert main(["verify", write_cfg(tmp_path, text, f"{name}.cfg"), "--quiet"]) == 0
+            reports[name] = (tmp_path / name / "verify_report.txt").read_text()
+        assert reports["path"] == reports["config"]
+        assert [ln.split(":")[0] for ln in reports["path"].splitlines()] == list(VERIFY_CHECKS)
+
+    def test_limit_and_nullspace_checks_run_on_a_non_square_field_file(self, tmp_path, capsys):
+        grid = build_grid(10, 6)
+        field = generate_contrast_field(grid, 1e3, 1e2, "lognormal", 3)
+        write_field(tmp_path / "k.txt", grid, field)
+        text = (VERIFY_CFG.format(out=tmp_path / "out")
+                .replace("grid.nx = 8\ngrid.ny = 8", "grid.nx = 10\ngrid.ny = 6")
+                .replace("field.pattern = layered\nfield.contrast_x = 1e2\nfield.contrast_y = 1e2",
+                         f"field.path = {tmp_path / 'k.txt'}"))
+        assert main(["verify", write_cfg(tmp_path, text)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        limits = brinkman2d.analysis.limit_checks(grid, field, BoundaryData(1.0, 0.0))
+        worst = brinkman2d.analysis.nullspace_residual(grid, normalize(field), 1.0)
+        for name, value in [("darcy_limit", limits.darcy_rel_diff),
+                            ("stokes_limit", limits.stokes_rel_diff),
+                            ("nullspace", worst)]:
+            assert any(ln.startswith(f"{name}: PASS (relative") and f" {value:.3e} (<= " in ln
+                       for ln in lines), name
 
     def test_forced_nonconvergence_fails_suite(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -680,11 +678,13 @@ class TestVerifyCommand:
             return direct_solve(*args, **kwargs)
 
         monkeypatch.setattr(brinkman2d.analysis, "direct_solve", counted)
+        (tmp_path / "k.txt").write_text("8x8\n" + "1 1\n" * 64)
         out = tmp_path / "out"
-        text = VERIFY_CFG.format(out=out).replace("grid.nx = 8", "grid.nx = 1")
-        cfg = write_cfg(tmp_path, text.replace("field.contrast_y = 1e2", "field.contrast_y = 10"))
-        assert main(["verify", cfg]) == 2
-        assert "grid too small to realize contrast 10.0 in y" in capsys.readouterr().err
+        text = VERIFY_CFG.format(out=out).replace(
+            "field.pattern = layered\nfield.contrast_x = 1e2\nfield.contrast_y = 1e2",
+            f"field.path = {tmp_path / 'k.txt'}")
+        assert main(["verify", write_cfg(tmp_path, text)]) == 2
+        assert "header must be 'nx ny', got '8x8'" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 
@@ -704,14 +704,6 @@ class TestGenFieldCommand:
         direct = generate_contrast_field(grid, 1e3, 1e2, "lognormal", 3)
         assert np.array_equal(loaded.kxx, direct.kxx)
         assert np.array_equal(loaded.kyy, direct.kyy)
-
-    def test_gen_field_requires_pattern(self, tmp_path, capsys):
-        cfg = write_cfg(
-            tmp_path,
-            "grid.nx = 2\ngrid.ny = 2\nanna = 1.0\nfield.path = f.txt\n",
-        )
-        assert main(["gen-field", cfg]) == 2
-        assert "field.pattern" in capsys.readouterr().err
 
 
 
@@ -790,26 +782,14 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: config key '{key}': {message}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["solve", "verify", "gen-field"])
-    def test_da_list_outside_a_sweep_exits_2_before_the_field_is_built(
-            self, tmp_path, capsys, monkeypatch, command):
-        # only a sweep reads sweep.da; any other command would ignore it unsaid
-        def no_field(*args, **kwargs):
-            raise AssertionError(f"built the field of a {command} with a da list")
-
-        monkeypatch.setattr(brinkman2d.cli, "_field_for", no_field)
-        out = tmp_path / "out"
-        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=out) + "sweep.da = 1e-3,1e3\n")
-        assert main([command, cfg, "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err == (f"error: config key 'sweep.da': only sweep reads a da list, so "
-                       f"{command} would ignore it; delete this line\n")
-        assert not out.exists()
-
     @pytest.mark.parametrize("command, fix, key, message", [
         ("sweep", {}, "sweep.da", "a sweep requires a da list"),
         ("solve", {"sweep.da": "1e-3,1e3"}, "sweep.da",
          "only sweep reads a da list, so solve would ignore it; delete this line"),
+        ("verify", {"sweep.da": "1e-3,1e3"}, "sweep.da",
+         "only sweep reads a da list, so verify would ignore it; delete this line"),
+        ("gen-field", {"sweep.da": "1e-3,1e3"}, "sweep.da",
+         "only sweep reads a da list, so gen-field would ignore it; delete this line"),
         # a sweep sets anna = Da per point, so the scales would be echoed in
         # config_resolved.txt but never used
         ("sweep", {"sweep.da": "1.0", "anna": None, "scales.l_ref": "1.0", "scales.mu": "1.0",
@@ -823,8 +803,12 @@ class TestErrorPaths:
          "gen-field requires a generator pattern, not field.path"),
         ("verify", {"bc.gx": "0.0"}, "bc.gx",
          "verify needs nonzero wall data, but bc.gx and bc.gy are both 0"),
-    ], ids=["sweep-without-da", "da-outside-a-sweep", "sweep-scales", "sweep-anna",
-            "gen-field-path", "verify-zero-wall-data"])
+        # incompressibility leaves the lid-driven Stokes limit flow zero
+        ("verify", {"grid.nx": "1"}, "grid.nx", "verify needs a grid of at least 2x2, got 1x8"),
+        ("verify", {"grid.ny": "1"}, "grid.ny", "verify needs a grid of at least 2x2, got 8x1"),
+    ], ids=["sweep-without-da", "da-outside-a-sweep", "da-outside-verify", "da-outside-gen-field",
+            "sweep-scales", "sweep-anna", "gen-field-path", "verify-zero-wall-data",
+            "verify-one-column", "verify-one-row"])
     def test_command_rule_exits_2_before_the_field_is_built(
             self, tmp_path, capsys, monkeypatch, command, fix, key, message):
         # each command rule is checked before the grid and the field; a key

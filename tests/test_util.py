@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from brinkman2d import InvalidFieldError, build_grid, load_field, parse_config
 from brinkman2d._util import atomic_write_text, checked_square_matrix
+from brinkman2d.config import ConfigError
 
 
 def test_failed_write_removes_the_temp_file_and_keeps_the_target(tmp_path):
@@ -29,3 +31,15 @@ def test_failed_rename_removes_the_temp_file(tmp_path):
 def test_checked_square_matrix_refuses_a_dense_array_that_is_not_2d(matrix):
     with pytest.raises(ValueError, match="^matrix must be two-dimensional$"):
         checked_square_matrix(matrix)
+
+
+@pytest.mark.parametrize("read, error", [
+    (parse_config, ConfigError),
+    (lambda path: load_field(path, build_grid(2, 2)), InvalidFieldError),
+], ids=["config", "field"])
+def test_not_utf8_refusal_counts_bytes_from_the_start_of_the_file(tmp_path, read, error):
+    # the bad byte follows a byte-order mark, which the offset still counts
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf2 2\n1 \xe9\n")
+    with pytest.raises(error, match=r"not UTF-8 text \(invalid continuation byte at byte 9\)$"):
+        read(path)
