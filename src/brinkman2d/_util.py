@@ -60,6 +60,21 @@ def release_freed_heap() -> None:
     trim(0)
 
 
+def fix_mmap_threshold() -> None:
+    """Fix glibc's mmap threshold at 1 MiB (``mallopt(M_MMAP_THRESHOLD,
+    1 MiB)``); a no-op where libc has no ``mallopt``.  glibc otherwise
+    raises the threshold each time it frees a mapped block, so whether a
+    later large block is mapped or comes from the heap depends on what the
+    process freed before.  It changes the whole process's allocator, so
+    only the CLI calls it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+
+
 def checked_square_matrix(matrix):
     """``matrix`` as CSR when sparse, else as a float array, after checking
     that it is two-dimensional, square and free of NaN and inf."""

@@ -9,14 +9,18 @@ applied to the Hessenberg once, row by row, before the triangle is
 solved by back substitution.  The Hessenberg is stored row-packed, its
 upper triangle and subdiagonal only, in one 1-D array.  The basis and
 that store are allocated once per solve and reused by every restart
-cycle.  Both come from ``np.empty``; the solve hands the freed heap back
-to the OS on return, where a freed block would stay resident.  A cycle
-forms its residual in the basis row ``Q[0]``, a step forms both CGS2
-corrections in the row ``Q[k + 1]`` that its normalized vector then
-fills, each product ``A v`` goes before the next is allocated, and a
-cycle forms its update in the last one, so beyond the workspace a solve
-holds only the iterate and one product.  The reference path is a sparse LU
-factorization (SuperLU) used as the oracle in verification runs.  Full
+cycle.  Both come from ``np.empty`` with numpy's transparent huge-page
+advice off, so under the kernel's ``madvise`` THP mode they sit on 4 KiB
+pages in every solve: with the advice, whether they get 2 MB pages, and
+so the solve's peak, depends on what the process mapped before.  The
+solve hands the freed heap back to the OS on return, where a freed block
+would stay resident.  A cycle forms its residual in the basis row
+``Q[0]``, a step forms both CGS2 corrections in the row ``Q[k + 1]``
+that its normalized vector then fills, each product ``A v`` goes before
+the next is allocated, and a cycle forms its update in the last one, so
+beyond the workspace a solve holds only the iterate and one product.
+The reference path is a sparse LU factorization (SuperLU) used as the
+oracle in verification runs.  Full
 GMRES (restart = maxit) is the default, matching the replication
 setting of the regime study; restarting is exposed for experimentation.
 """
@@ -35,6 +39,13 @@ import scipy.sparse as sp
 # _sparse_lu alone, so a GMRES-only process never loads it
 
 from ._util import ConfigError, NumericOverflowError, checked_square_matrix, release_freed_heap
+
+try:
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:
+    # private numpy API (numpy >= 2); without it the GMRES workspace takes
+    # numpy's default advice, which changes its peak but not its arithmetic
+    _set_madvise_hugepage = None
 
 
 class SingularMatrixError(RuntimeError):
@@ -74,6 +85,7 @@ class SolveReport:
     ||b - M x||_2 / ||b||_2 of that iterate, and converged means it meets
     tol.  workspace_bytes is the size of the ``(m+1) x n`` Krylov basis
     plus the packed Hessenberg (``m + m(m+1)/2`` doubles), both ``np.empty``
+    without huge-page advice (so one solve peaks the same in every process)
     and released to the OS on return, that the solve allocated,
     ``m = min(restart, maxit, n)``; 0 for a zero rhs.  cycles counts the
     restart cycles run (1 for full GMRES), and breakdown is True when the
@@ -165,6 +177,21 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     return np.ldexp(x, exponent, out=x), report
 
 
+def _empty_without_hugepages(*shapes) -> list:
+    """One ``np.empty`` array per shape, allocated with numpy's
+    ``MADV_HUGEPAGE`` advice (given to every array of 4 MiB or more) off,
+    and the previous setting restored after.  The setting is numpy's, one
+    per process, so another thread's array allocated meanwhile gets no
+    advice either."""
+    if _set_madvise_hugepage is None:
+        return [np.empty(shape) for shape in shapes]
+    previous = _set_madvise_hugepage(False)
+    try:
+        return [np.empty(shape) for shape in shapes]
+    finally:
+        _set_madvise_hugepage(previous)
+
+
 def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: int, t0: float):
     """The cycles of :func:`gmres_solve` on its workspace; ``(x, SolveReport)``."""
     n = b.size
@@ -175,10 +202,9 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
     # max(i - 1, 0) .. m_max - 1 contiguously and entry (i, j) sits at
     # base[i] + j.  The store is not cleared between cycles: a cycle reads
     # only entries of its own columns, and it writes them first.
-    Q = np.empty((m_max + 1, n))
     rows = np.arange(m_max + 1)
     base = rows * m_max - rows * (rows - 1) // 2
-    H = np.empty(m_max + m_max * (m_max + 1) // 2)
+    Q, H = _empty_without_hugepages((m_max + 1, n), m_max + m_max * (m_max + 1) // 2)
     cs, sn = np.empty(m_max), np.empty(m_max)
     omega = np.empty(m_max + 1)  # last row of the accumulated rotation factor
     x = np.zeros(n)

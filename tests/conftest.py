@@ -39,8 +39,23 @@ def blas_info() -> str:
     return f"OpenBLAS core {corename().decode()}, {threads()} threads"
 
 
+def thp_mode() -> str:
+    """The host's transparent huge-page mode, the bracketed word of
+    ``/sys/kernel/mm/transparent_hugepage/enabled``, or "unknown" where that
+    file is absent.  Peak-RSS figures hold under one mode: under ``always``
+    the kernel may back the GMRES workspace with 2 MB pages whatever numpy
+    advises."""
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled", encoding="ascii") as fh:
+            text = fh.read()
+    except OSError:
+        return "unknown"
+    start, end = text.find("["), text.find("]")
+    return text[start + 1: end] if 0 <= start < end else "unknown"
+
+
 def pytest_report_header(config):
-    return f"blas: {blas_info()}"
+    return f"blas: {blas_info()}; thp: {thp_mode()}"
 
 
 @pytest.fixture(scope="session")

@@ -569,7 +569,7 @@ class TestLimits:
         grid = build_grid(8, 8)
         field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
         bc = BoundaryData(1.0, 0.0)
-        report = limit_checks(grid, field, bc)
+        report = limit_checks(grid, normalize(field), bc)
         assert report.darcy_rel_diff <= 1e-3
         assert report.stokes_rel_diff <= 1e-3
         assert report.stokes_rel_diff > 0.0  # lid flow actually exercises the drag
@@ -578,8 +578,8 @@ class TestLimits:
     def test_relative_differences_do_not_depend_on_the_units(self, scale):
         grid = build_grid(8, 8)
         field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
-        unit = limit_checks(grid, field, BoundaryData(1.0, 0.0))
-        scaled = limit_checks(grid, field, BoundaryData(scale, 0.0))
+        unit = limit_checks(grid, normalize(field), BoundaryData(1.0, 0.0))
+        scaled = limit_checks(grid, normalize(field), BoundaryData(scale, 0.0))
         assert scaled.darcy_rel_diff == pytest.approx(unit.darcy_rel_diff, rel=1e-6)
         assert scaled.stokes_rel_diff == unit.stokes_rel_diff  # lid data, not bc
 
@@ -588,7 +588,7 @@ class TestLimits:
         grid = build_grid(4, 4)
         field = generate_contrast_field(grid, 10.0, 10.0, "layered", 0)
         with pytest.raises(ValueError, match="Darcy reference flow is identically zero"):
-            limit_checks(grid, field, BoundaryData(0.0, 0.0))
+            limit_checks(grid, normalize(field), BoundaryData(0.0, 0.0))
 
     def test_darcy_oracle_is_the_zero_anna_assembly(self):
         grid = build_grid(4, 4)

@@ -1,10 +1,12 @@
 import ast
+import ctypes
 import hashlib
 import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -19,11 +21,15 @@ from brinkman2d import (
     BoundaryData,
     ReferenceScales,
     RunConfig,
+    SolverConfig,
+    assemble_monolithic,
     build_grid,
     generate_contrast_field,
+    gmres_solve,
     load_field,
     normalize,
     parse_config,
+    sweep_darcy,
     write_config,
     write_field,
 )
@@ -635,7 +641,7 @@ class TestVerifyCommand:
                          f"field.path = {tmp_path / 'k.txt'}"))
         assert main(["verify", write_cfg(tmp_path, text)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        limits = brinkman2d.analysis.limit_checks(grid, field, BoundaryData(1.0, 0.0))
+        limits = brinkman2d.analysis.limit_checks(grid, normalize(field), BoundaryData(1.0, 0.0))
         worst = brinkman2d.analysis.nullspace_residual(grid, normalize(field), 1.0)
         for name, value in [("darcy_limit", limits.darcy_rel_diff),
                             ("stokes_limit", limits.stokes_rel_diff),
@@ -1103,6 +1109,57 @@ def test_each_command_runs_the_function_bound_on_the_module(tmp_path, monkeypatc
         assert capsys.readouterr().out == ""
     assert calls == [(name, 8, 8) for name in ("solve", "sweep", "verify", "gen-field")
                      for _ in range(2)]
+
+
+class TestMmapThreshold:
+    """Only the CLI fixes glibc's mmap threshold, once per ``main`` call and
+    before the config is parsed; importing or calling the library leaves the
+    caller's allocator as it was."""
+
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)),
+                                     malloc_trim=lambda pad: 0)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        return calls
+
+    def test_main_fixes_it_once_per_call(self, tmp_path, mallopt_calls):
+        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "out"))
+        assert main(["solve", cfg, "--quiet"]) == 0
+        assert mallopt_calls == [(-3, 1 << 20)]
+        assert main(["solve", str(tmp_path / "missing.cfg")]) == 2
+        assert mallopt_calls == [(-3, 1 << 20)] * 2
+
+    def test_library_calls_leave_it(self, tmp_path, mallopt_calls):
+        grid = build_grid(8, 8)
+        field = generate_contrast_field(grid, 1e2, 1e2, "layered", 0)
+        bc = BoundaryData(1.0, 0.0)
+        system = assemble_monolithic(grid, normalize(field), 1.0, bc)
+        assert gmres_solve(system.matrix, system.rhs)[1].converged
+        assert sweep_darcy(grid, field, [1.0], bc, SolverConfig())[0].report.converged
+        config = parse_config(write_cfg(tmp_path, VERIFY_CFG.format(out=tmp_path / "out")))
+        assert brinkman2d.cli.run_verify(config, grid)[0] == 0
+        assert mallopt_calls == []
+
+    def test_import_leaves_it(self):
+        code = (
+            "import ctypes\n"
+            "names = []\n"
+            "class LibC:\n"
+            "    def __getattr__(self, name):\n"
+            "        names.append(name)\n"
+            "        raise AttributeError(name)\n"
+            "real = ctypes.CDLL\n"
+            "ctypes.CDLL = lambda name, *a, **k: LibC() if name is None else real(name, *a, **k)\n"
+            "import brinkman2d, brinkman2d.cli\n"
+            "print(names)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
 
 
 def test_console_script_resolves_to_a_callable():

@@ -412,6 +412,65 @@ class TestGmres:
         assert shapes == workspace_shapes(b.size, min(cfg.restart or cfg.maxit, b.size))
         assert released == [[None] * len(shapes)]
 
+    @pytest.mark.parametrize("advice", [True, False])
+    def test_basis_and_store_are_allocated_without_hugepage_advice(self, advice, monkeypatch):
+        # numpy advises transparent huge pages for arrays of 4 MiB and more,
+        # so the basis and the store would sit on 2 MB pages in some solves
+        # and not in others; the advice is off around exactly those two
+        # allocations, and whatever was set before is set again after
+        A, b = layered_system(8, 1e-3)
+        m = 50
+        events, state = [], [advice]
+        empty = np.empty
+
+        def set_advice(enabled):
+            events.append(("advice", enabled))
+            previous, state[0] = state[0], enabled
+            return previous
+
+        def recording_empty(*args, **kwargs):
+            array = empty(*args, **kwargs)
+            events.append(("empty", array.shape))
+            return array
+
+        monkeypatch.setattr(brinkman2d.solvers, "_set_madvise_hugepage", set_advice)
+        monkeypatch.setattr(np, "empty", recording_empty)
+        gmres_solve(A, b, SolverConfig(tol=1e-6, maxit=100, restart=m))
+        q_shape, h_shape, *rest = workspace_shapes(b.size, m)
+        assert events == [("advice", False), ("empty", q_shape), ("empty", h_shape),
+                          ("advice", advice)] + [("empty", shape) for shape in rest]
+        assert state == [advice]
+
+    def test_hugepage_advice_is_restored_when_the_allocation_fails(self, monkeypatch):
+        A, b = layered_system(8, 1e-3)
+        state = [True]
+
+        def set_advice(enabled):
+            previous, state[0] = state[0], enabled
+            return previous
+
+        def failing_empty(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        monkeypatch.setattr(brinkman2d.solvers, "_set_madvise_hugepage", set_advice)
+        monkeypatch.setattr(np, "empty", failing_empty)
+        with pytest.raises(MemoryError):
+            gmres_solve(A, b, SolverConfig(tol=1e-6, maxit=100, restart=50))
+        assert state == [True]
+
+    def test_solve_runs_without_numpys_hugepage_switch(self, monkeypatch):
+        # the switch is private numpy API; without it the workspace takes
+        # numpy's default advice and the arithmetic is the same
+        A, b = layered_system(8, 1e-3)
+        cfg = SolverConfig(tol=1e-6, maxit=100, restart=50)
+        x_ref, report_ref = gmres_solve(A, b, cfg)
+        monkeypatch.setattr(brinkman2d.solvers, "_set_madvise_hugepage", None)
+        shapes, _ = record_workspace(monkeypatch)
+        x, report = gmres_solve(A, b, cfg)
+        assert shapes == workspace_shapes(b.size, 50)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(report.residual_history, report_ref.residual_history)
+
     def test_workspace_bytes_on_canonical_size(self, monkeypatch):
         # full GMRES on the 20x20 grid: a 1241 x 1240 basis and a packed
         # Hessenberg of 1240 + 1240 * 1241 / 2 doubles; the memory guard asks

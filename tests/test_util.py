@@ -1,10 +1,12 @@
+import ctypes
 import os
+import types
 
 import numpy as np
 import pytest
 
 from brinkman2d import InvalidFieldError, build_grid, load_field, parse_config
-from brinkman2d._util import atomic_write_text, checked_square_matrix
+from brinkman2d._util import atomic_write_text, checked_square_matrix, fix_mmap_threshold
 from brinkman2d.config import ConfigError
 
 
@@ -43,3 +45,24 @@ def test_not_utf8_refusal_counts_bytes_from_the_start_of_the_file(tmp_path, read
     path.write_bytes(b"\xef\xbb\xbf2 2\n1 \xe9\n")
     with pytest.raises(error, match=r"not UTF-8 text \(invalid continuation byte at byte 9\)$"):
         read(path)
+
+
+class TestFixMmapThreshold:
+    def test_sets_a_1_mib_threshold(self, monkeypatch):
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert fix_mmap_threshold() is None
+        assert calls == [(-3, 1 << 20)]  # M_MMAP_THRESHOLD
+        assert libc.mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert fix_mmap_threshold() is None
+
+    def test_no_op_when_libc_cannot_be_loaded(self, monkeypatch):
+        def fail(name):
+            raise OSError("no libc")
+
+        monkeypatch.setattr(ctypes, "CDLL", fail)
+        assert fix_mmap_threshold() is None
