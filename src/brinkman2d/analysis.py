@@ -9,9 +9,8 @@ constant-pressure nullspace and its kappa is only meaningful with that
 mode excluded.
 
 Conditioning and spectra take matrices of at most ``DENSE_DECOMP_LIMIT``
-unknowns.  A sparse matrix gets kappa from one sparse LU factor and two
-ARPACK Lanczos runs; a dense array gets the dense SVD, which stays the
-oracle.  Spectra are always dense.
+unknowns; :func:`condition_number` has the two kappa paths, and spectra
+are always dense.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import scipy.sparse as sp
 from ._util import atomic_write_text, checked_square_matrix
 from .discretization import BoundaryData, assemble_divergence, assemble_monolithic
 from .grid import StaggeredGrid, boundary_velocity_mask, build_grid
-from .media import PermeabilityField, normalize, uniform_kstar
+from .media import PermeabilityField, uniform_kstar
 from .scaling import check_da_values, classify_regime
 from .solvers import SolveReport, SolverConfig, _sparse_lu, direct_solve, gmres_solve
 
@@ -104,7 +103,8 @@ def _sigma_max(n: int, matvec, rmatvec) -> float:
     (adjoint ``rmatvec``): ARPACK Lanczos on the Gram operator, started
     from the ones vector, as ``svds(k=1)`` runs it, but with the generator
     for the restart vectors ARPACK draws after a breakdown seeded, so a
-    repeated call returns the same bits."""
+    repeated call returns the same bits.  ``tol=1e-14`` is a relative bound
+    on the Ritz value of the Gram operator, so sigma, its root, gets 5e-15."""
     import scipy.sparse.linalg as spla
 
     gram = spla.LinearOperator((n, n), matvec=lambda x: rmatvec(matvec(x)), dtype=float)
@@ -235,18 +235,19 @@ def nullspace_residual(grid: StaggeredGrid, kstar: PermeabilityField, anna: floa
 
 def sweep_darcy(
     grid: StaggeredGrid,
-    field_: PermeabilityField,
+    kstar: PermeabilityField,
     da_values,
     bc: BoundaryData,
     config: SolverConfig,
     pin_pressure: bool = False,
 ) -> list[RegimeRow]:
-    """GMRES behavior across a Darcy-number sweep with one fixed field.
+    """GMRES behavior across a Darcy-number sweep on one normalized field
+    ``kstar``, as :func:`normalize` returns it.
 
     Each point assembles the system at anna = da (Anna's number at unit
-    viscosity ratio) and solves it; kappa (when the size permits) is
-    measured on the pressure-pinned matrix.  A non-converged point is
-    recorded and the sweep continues.
+    viscosity ratio) and solves it; kappa is measured on the
+    pressure-pinned matrix, and omitted above ``DENSE_DECOMP_LIMIT``
+    unknowns.  A non-converged point is recorded and the sweep continues.
 
     The sweep runs in two passes.  The first solves every point and keeps
     its report and a copy of its velocity block; the second measures every
@@ -254,7 +255,6 @@ def sweep_darcy(
     with the solves done first that memory never adds to a live Krylov
     workspace.  The second pass assembles each point's pinned matrix again.
     """
-    kstar = normalize(field_)
     with_kappa = grid.n_total <= DENSE_DECOMP_LIMIT
     rows: list[RegimeRow] = []
     for anna in check_da_values(da_values):

@@ -79,7 +79,9 @@ def _check_command(command: str, config: RunConfig) -> None:
         # Darcy limit would compare zero with zero
         raise ConfigError("bc.gx", "verify needs nonzero wall data, but bc.gx and bc.gy are both 0")
     if command == "verify" and min(config.nx, config.ny) < 2:
-        # the lid-driven Stokes limit flow is zero on a grid one cell wide
+        # on a grid one cell wide the lid-driven Stokes limit flow is zero, and
+        # so is the Darcy reference's interior flow when the wall data points
+        # across that cell: a limit check's relative difference would be 0/0
         raise ConfigError("grid.nx" if config.nx < 2 else "grid.ny",
                           f"verify needs a grid of at least 2x2, got {config.nx}x{config.ny}")
 
@@ -121,11 +123,11 @@ def run_solve(config: RunConfig, grid: StaggeredGrid) -> tuple[int, str]:
 
 
 def run_sweep(config: RunConfig, grid: StaggeredGrid) -> tuple[int, str]:
-    field = _field_for(config, grid)
+    kstar = normalize(_field_for(config, grid))
     bc = BoundaryData(config.gx, config.gy)
     rows = analysis.sweep_darcy(
         grid,
-        field,
+        kstar,
         config.da_values,
         bc,
         config.solver_config(),

@@ -224,9 +224,11 @@ def assemble_monolithic(
     With ``pin_pressure`` the first pressure row is replaced by the
     identity (p_0 = 0), removing the constant-pressure nullspace.
     ``forcing`` holds one force density per velocity face, u faces then
-    v faces; without it the momentum equations are unforced.  Raises
-    :class:`NumericOverflowError` when finite inputs overflow an entry of
-    the matrix or of the rhs.
+    v faces; without it the momentum equations are unforced.  Every
+    :class:`BoundaryData` puts equal normal data on opposite walls, so the
+    net boundary flux is zero and the unpinned system is consistent.
+    Raises :class:`NumericOverflowError` when finite inputs overflow an
+    entry of the matrix or of the rhs.
     """
     if anna < 0.0:
         raise ValueError(f"anna must be >= 0, got {anna}")

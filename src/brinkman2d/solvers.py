@@ -1,27 +1,19 @@
 """Linear solvers for the monolithic system.
 
 The primary path is an in-house restarted GMRES: Arnoldi with classical
-Gram-Schmidt run twice (CGS2) as BLAS matrix-vector products, and
-Givens-rotation least squares.  Each step keeps only the last row of
-the accumulated rotation factor, which gives the new rotation from one
-dot product with the raw Hessenberg column; the cycle's rotations are
-applied to the Hessenberg once, row by row, before the triangle is
-solved by back substitution.  The Hessenberg is stored row-packed, its
-upper triangle and subdiagonal only, in one 1-D array.  The basis and
-that store are allocated once per solve and reused by every restart
-cycle.  Both come from ``np.empty`` with numpy's transparent huge-page
-advice off, so under the kernel's ``madvise`` THP mode they sit on 4 KiB
-pages in every solve: with the advice, whether they get 2 MB pages, and
-so the solve's peak, depends on what the process mapped before.  The
-solve hands the freed heap back to the OS on return, where a freed block
-would stay resident.  A cycle forms its residual in the basis row
-``Q[0]``, a step forms both CGS2 corrections in the row ``Q[k + 1]``
-that its normalized vector then fills, each product ``A v`` goes before
-the next is allocated, and a cycle forms its update in the last one, so
-beyond the workspace a solve holds only the iterate and one product.
-The reference path is a sparse LU factorization (SuperLU) used as the
-oracle in verification runs.  Full
-GMRES (restart = maxit) is the default, matching the replication
+Gram-Schmidt run twice (CGS2, "twice is enough") as BLAS matrix-vector
+products, and Givens-rotation least squares.  Each step keeps only the
+last row ``omega`` of the accumulated rotation factor, which gives the
+new rotation from one dot product with the raw Hessenberg column; the
+cycle's rotations are applied to the row-packed Hessenberg once, row by
+row, before :func:`_solve_packed_upper` solves the triangle.  The basis
+and the Hessenberg are allocated once per solve and reused by every
+restart cycle.  The cycle residual, the CGS2 corrections and the update
+are formed in basis rows or in the last product (the comments of
+:func:`_restarted_gmres` say where), so beyond its workspace a solve
+holds only the iterate and one product.  The reference path is a sparse
+LU factorization (SuperLU) used as the oracle in verification runs.
+Full GMRES (restart = maxit) is the default, matching the replication
 setting of the regime study; restarting is exposed for experimentation.
 """
 
@@ -84,12 +76,11 @@ class SolveReport:
     the residual of the returned iterate.  final_relres is the true
     ||b - M x||_2 / ||b||_2 of that iterate, and converged means it meets
     tol.  workspace_bytes is the size of the ``(m+1) x n`` Krylov basis
-    plus the packed Hessenberg (``m + m(m+1)/2`` doubles), both ``np.empty``
-    without huge-page advice (so one solve peaks the same in every process)
-    and released to the OS on return, that the solve allocated,
-    ``m = min(restart, maxit, n)``; 0 for a zero rhs.  cycles counts the
-    restart cycles run (1 for full GMRES), and breakdown is True when the
-    Arnoldi process broke down, i.e. the last Krylov space was invariant.
+    plus the packed Hessenberg (``m + m(m+1)/2`` doubles) that the solve
+    allocated, ``m = min(restart, maxit, n)``; 0 for a zero rhs.  cycles
+    counts the restart cycles run (1 for full GMRES), and breakdown is True
+    when the Arnoldi process broke down, i.e. the last Krylov space was
+    invariant.
     """
 
     iterations: int
@@ -140,13 +131,12 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
     iterate; hitting maxit returns the best iterate with
     ``converged=False``.  The result is deterministic for fixed inputs.
     Raises :class:`ConfigError` on ``solver.restart`` when the Krylov
-    basis and packed Hessenberg cannot fit in physical memory (the default
-    ``maxit = n`` asks for an ``(n+1) x n`` basis and ``n(n+1)/2 + n``
-    Hessenberg entries).  ``SolveReport.workspace_bytes`` gives their size;
-    the heap they freed goes back to the OS on return.  Raises
-    :class:`NumericOverflowError` when ``||b||`` or some ``||A q||``
-    overflows double precision.  A rhs whose largest entry is below 1/2 is
-    solved scaled by an exact power of two, so that no norm underflows.
+    basis and packed Hessenberg cannot fit in physical memory, as the
+    default ``maxit = n`` cannot on a large grid.  The heap they freed goes
+    back to the OS on return.  Raises :class:`NumericOverflowError` when
+    ``||b||`` or some ``||A q||`` overflows double precision.  A rhs whose
+    largest entry is below 1/2 is solved scaled by an exact power of two,
+    so that no norm underflows.
     """
     cfg = config or SolverConfig()
     A, b = _linear_system(matrix, rhs)
@@ -180,7 +170,10 @@ def gmres_solve(matrix, rhs, config: SolverConfig | None = None):
 def _empty_without_hugepages(*shapes) -> list:
     """One ``np.empty`` array per shape, allocated with numpy's
     ``MADV_HUGEPAGE`` advice (given to every array of 4 MiB or more) off,
-    and the previous setting restored after.  The setting is numpy's, one
+    and the previous setting restored after.  Under the kernel's
+    ``madvise`` THP mode the arrays then sit on 4 KiB pages in every solve;
+    with the advice, whether they get 2 MB pages, and so the solve's peak,
+    depends on what the process mapped before.  The setting is numpy's, one
     per process, so another thread's array allocated meanwhile gets no
     advice either."""
     if _set_madvise_hugepage is None:
@@ -325,11 +318,11 @@ def _sparse_lu(matrix):
 
     ``relax=1, panel_size=1`` turn off the relaxed supernodes, which pad
     the factor with stored zeros, and the multi-column panels, which buy
-    BLAS speed with workspace: the pinned 64x64 manufactured system
-    (n = 12416) then stores 1,650,877 factor entries, not 1,753,897, and
-    its factorisation peaks 19.2 MB above the RSS before it, not 23.6 MB,
-    in the same time.  Raises :class:`SingularMatrixError` on an empty row
-    or column, naming its index, or on an exactly singular pivot.
+    BLAS speed with workspace (the supernodal design of Demmel et al.,
+    SIMAX 20, 1999): at the sizes here they cost memory and buy no time,
+    though larger systems may factor slower without them.  Raises
+    :class:`SingularMatrixError` on an empty row or column, naming its
+    index, or on an exactly singular pivot.
     """
     import scipy.sparse.linalg as spla
 

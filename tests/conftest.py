@@ -12,6 +12,7 @@ from brinkman2d import (
     SolverConfig,
     build_grid,
     generate_contrast_field,
+    normalize,
     sweep_darcy,
 )
 
@@ -65,7 +66,7 @@ def regime_sweep():
     field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
     bc = BoundaryData(1.0, 0.0)
     config = SolverConfig(tol=SWEEP_TOL, maxit=1240)
-    return sweep_darcy(grid, field, SWEEP_DA, bc, config, pin_pressure=False)
+    return sweep_darcy(grid, normalize(field), SWEEP_DA, bc, config, pin_pressure=False)
 
 
 @pytest.fixture

@@ -265,7 +265,7 @@ class TestSweep:
 
     def test_row_per_da_point(self):
         grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), bc, SolverConfig())
+        rows = sweep_darcy(grid, normalize(field), (1e-2, 1.0, 1e2), bc, SolverConfig())
         assert len(rows) == 3
         assert [r.anna for r in rows] == [1e-2, 1.0, 1e2]
 
@@ -273,7 +273,7 @@ class TestSweep:
         # a sweep runs at unit viscosity ratio, so the table prints each
         # point's anna in both its da and its anna column
         grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1e-3, 1e3), bc, SolverConfig())
+        rows = sweep_darcy(grid, normalize(field), (1e-3, 1e3), bc, SolverConfig())
         path = tmp_path / "table.csv"
         write_regime_csv(rows, path)
         assert [line.split(",")[:2] for line in path.read_text().splitlines()[1:]] == \
@@ -282,7 +282,7 @@ class TestSweep:
     def test_single_point_sweep_matches_standalone_solve(self):
         grid, field, bc = self.small_setup()
         config = SolverConfig(tol=1e-6)
-        rows = sweep_darcy(grid, field, (1.0,), bc, config)
+        rows = sweep_darcy(grid, normalize(field), (1.0,), bc, config)
         system = assemble_monolithic(grid, normalize(field), 1.0, bc)
         x, report = gmres_solve(system.matrix, system.rhs, config)
         kept = rows[0].report
@@ -296,7 +296,7 @@ class TestSweep:
 
     def test_kappa_computed_on_pinned_matrix(self):
         grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1.0,), bc, SolverConfig())
+        rows = sweep_darcy(grid, normalize(field), (1.0,), bc, SolverConfig())
         row = rows[0]
         assert row.kappa_flag in ("pinned", "pinned-singular")
         pinned = assemble_monolithic(grid, normalize(field), 1.0, bc, pin_pressure=True)
@@ -306,7 +306,7 @@ class TestSweep:
         # a system larger than the decomposition limit gets no kappa
         grid, field, bc = self.small_setup()
         monkeypatch.setattr(analysis, "DENSE_DECOMP_LIMIT", grid.n_total - 1)
-        rows = sweep_darcy(grid, field, (1.0,), bc, SolverConfig())
+        rows = sweep_darcy(grid, normalize(field), (1.0,), bc, SolverConfig())
         assert rows[0].kappa is None
         assert rows[0].kappa_flag == "omitted"
 
@@ -324,7 +324,7 @@ class TestSweep:
         monkeypatch.setattr(analysis, "gmres_solve", logging("solve", analysis.gmres_solve))
         monkeypatch.setattr(analysis, "condition_number",
                             logging("kappa", analysis.condition_number))
-        sweep_darcy(grid, field, (1e-2, 1.0, 1e2), bc, SolverConfig())
+        sweep_darcy(grid, normalize(field), (1e-2, 1.0, 1e2), bc, SolverConfig())
         assert calls == ["solve"] * 3 + ["kappa"] * 3
 
     @pytest.mark.parametrize("pin_pressure", [True, False])
@@ -338,7 +338,7 @@ class TestSweep:
             return assemble_monolithic(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "assemble_monolithic", counting)
-        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), bc, SolverConfig(),
+        rows = sweep_darcy(grid, normalize(field), (1e-2, 1.0, 1e2), bc, SolverConfig(),
                             pin_pressure=pin_pressure)
         assert pinned_flags == [pin_pressure] * 3 + [True] * 3
         for row in rows:
@@ -347,7 +347,7 @@ class TestSweep:
 
     def test_failed_point_recorded_and_sweep_continues(self):
         grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1e-2, 1.0, 1e2), bc,
+        rows = sweep_darcy(grid, normalize(field), (1e-2, 1.0, 1e2), bc,
                             SolverConfig(tol=1e-6, maxit=2))
         assert len(rows) == 3
         assert not any(r.report.converged for r in rows)
@@ -355,14 +355,14 @@ class TestSweep:
     def test_da_validation(self):
         grid, field, bc = self.small_setup()
         with pytest.raises(ValueError):
-            sweep_darcy(grid, field, (), bc, SolverConfig())
+            sweep_darcy(grid, normalize(field), (), bc, SolverConfig())
         with pytest.raises(ValueError):
-            sweep_darcy(grid, field, (1.0, 0.1), bc, SolverConfig())
+            sweep_darcy(grid, normalize(field), (1.0, 0.1), bc, SolverConfig())
         with pytest.raises(ValueError):
-            sweep_darcy(grid, field, (-1.0, 1.0), bc, SolverConfig())
+            sweep_darcy(grid, normalize(field), (-1.0, 1.0), bc, SolverConfig())
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                sweep_darcy(grid, field, (1.0, bad), bc, SolverConfig())
+                sweep_darcy(grid, normalize(field), (1.0, bad), bc, SolverConfig())
 
     @pytest.mark.parametrize("n, n_free", [(4, 40), (6, 96), (8, 176), (10, 280), (12, 408)])
     def test_darcy_plateau_is_the_free_unknown_count(self, n, n_free):
@@ -370,14 +370,15 @@ class TestSweep:
         # iterations as the system has unknowns off the fixed wall faces
         grid = build_grid(n, n)
         field = generate_contrast_field(grid, 1e5, 1e5, "layered", 0)
-        rows = sweep_darcy(grid, field, (1e-5,), BoundaryData(1.0, 0.0), SolverConfig(tol=1e-6))
+        rows = sweep_darcy(grid, normalize(field), (1e-5,), BoundaryData(1.0, 0.0),
+                           SolverConfig(tol=1e-6))
         assert n_free == grid.n_total - boundary_velocity_mask(grid).sum()
         assert rows[0].report.converged
         assert rows[0].report.iterations == n_free
 
     def test_regime_column(self, tmp_path):
         grid, field, bc = self.small_setup()
-        rows = sweep_darcy(grid, field, (1e-5, 1.0, 1e5), bc, SolverConfig())
+        rows = sweep_darcy(grid, normalize(field), (1e-5, 1.0, 1e5), bc, SolverConfig())
         path = tmp_path / "table.csv"
         write_regime_csv(rows, path)
         lines = path.read_text().splitlines()[1:]
@@ -444,7 +445,7 @@ class TestCsvOutput:
         grid = build_grid(6, 6)
         field = generate_contrast_field(grid, 100.0, 100.0, "layered", 0)
         bc = BoundaryData(1.0, 0.0)
-        rows = sweep_darcy(grid, field, (1e-1, 1e1), bc, SolverConfig())
+        rows = sweep_darcy(grid, normalize(field), (1e-1, 1e1), bc, SolverConfig())
         path = tmp_path / "table.csv"
         write_regime_csv(rows, path, timings=False)
         lines = path.read_text().splitlines()
@@ -470,7 +471,7 @@ class TestCsvOutput:
         field = generate_contrast_field(grid, 10.0, 10.0, "layered", 0)
         bc = BoundaryData(1.0, 0.0)
         monkeypatch.setattr(analysis, "DENSE_DECOMP_LIMIT", grid.n_total - 1)
-        rows = sweep_darcy(grid, field, (1.0,), bc, SolverConfig())
+        rows = sweep_darcy(grid, normalize(field), (1.0,), bc, SolverConfig())
         path = tmp_path / "table.csv"
         write_regime_csv(rows, path)
         row = path.read_text().splitlines()[1].split(",")
