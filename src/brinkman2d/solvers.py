@@ -5,8 +5,10 @@ Gram-Schmidt run twice (CGS2, "twice is enough") as BLAS matrix-vector
 products, and Givens-rotation least squares.  Each step keeps only the
 last row ``omega`` of the accumulated rotation factor, which gives the
 new rotation from one dot product with the raw Hessenberg column; the
-cycle's rotations are applied to the row-packed Hessenberg once, row by
-row, before :func:`_solve_packed_upper` solves the triangle.  The basis
+cycle's rotations are applied to the column-packed Hessenberg once, row
+by row, before :func:`_solve_packed_upper` solves the triangle.  Packed
+by columns, the store's written pages follow the steps taken: a cycle
+of ``k`` steps writes only its leading ``k(k+3)/2`` entries.  The basis
 and the Hessenberg are allocated once per solve and reused by every
 restart cycle.  The cycle residual, the CGS2 corrections and the update
 are formed in basis rows or in the last product (the comments of
@@ -191,12 +193,13 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
     # One workspace per solve: every cycle, a shorter last one included,
     # works in the leading rows of Q and the leading columns of the
     # Hessenberg.  Only the upper triangle and the subdiagonal of H are ever
-    # nonzero, so H lives row-packed in one 1-D store: row i holds columns
-    # max(i - 1, 0) .. m_max - 1 contiguously and entry (i, j) sits at
-    # base[i] + j.  The store is not cleared between cycles: a cycle reads
-    # only entries of its own columns, and it writes them first.
-    rows = np.arange(m_max + 1)
-    base = rows * m_max - rows * (rows - 1) // 2
+    # nonzero, so H lives column-packed in one 1-D store: column j holds
+    # rows 0 .. j + 1 contiguously and entry (i, j) sits at cb[j] + i, so a
+    # cycle of k steps writes (and faults in) only the leading cb[k] entries.
+    # The store is not cleared between cycles: a cycle reads only entries
+    # of its own columns, and it writes them first.
+    cols = np.arange(m_max + 1)
+    cb = cols * (cols + 3) // 2
     Q, H = _empty_without_hugepages((m_max + 1, n), m_max + m_max * (m_max + 1) // 2)
     cs, sn = np.empty(m_max), np.empty(m_max)
     omega = np.empty(m_max + 1)  # last row of the accumulated rotation factor
@@ -237,8 +240,9 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
             w -= np.matmul(h2, Qk, out=Q[k + 1])
             h += h2
             h_next = float(np.linalg.norm(w))
-            H[base[: k + 1] + k] = h
-            H[base[k + 1] + k] = h_next
+            column = H[cb[k]: cb[k + 1]]
+            column[: k + 1] = h
+            column[k + 1] = h_next
 
             # row k of the column rotated by all earlier rotations is omega @ h
             a = float(omega[: k + 1] @ h)
@@ -269,12 +273,17 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
             np.divide(w, h_next, out=Q[k + 1])
 
         k_used = k + 1
-        for i in range(k_used):  # the cycle's rotations, once, row by row
+        # the cycle's rotations, once, row by row: rotation i turns rows i
+        # and i + 1 over columns i .. k_used - 1; row i is final and goes
+        # back to the store, and row i + 1 carries into rotation i + 1
+        top = H[cb[:k_used]]
+        for i in range(k_used):
             c, s = cs[i], sn[i]
-            top = H[base[i] + i: base[i] + k_used]
-            bottom = H[base[i + 1] + i: base[i + 1] + k_used]
-            top[:], bottom[:] = c * top + s * bottom, -s * top + c * bottom
-        y = _solve_packed_upper(H, base, g[:k_used], singular)
+            bottom = H[cb[i:k_used] + (i + 1)]
+            top, bottom = c * top + s * bottom, -s * top + c * bottom
+            H[cb[i:k_used] + i] = top
+            top = bottom[1:]
+        y = _solve_packed_upper(H, cb, g[:k_used], singular)
         x += np.matmul(Q[:k_used].T, y, out=w)  # the update, in the last product
         w = None  # gone before the next residual's product A @ x
 
@@ -290,25 +299,26 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
     )
 
 
-def _solve_packed_upper(store: np.ndarray, base: np.ndarray, g: list,
+def _solve_packed_upper(store: np.ndarray, cb: np.ndarray, g: list,
                         singular: bool) -> np.ndarray:
-    """Solve ``R y = g`` by back substitution, where row ``i`` of the upper
-    triangle ``R`` (``k = len(g)``) starts at ``store[base[i] + i]``; a
-    ``singular`` triangle, or one with a zero on its diagonal, gets the
+    """Solve ``R y = g`` by back substitution, where column ``j`` of the
+    upper triangle ``R`` (``k = len(g)``) holds rows ``0 .. j`` at
+    ``store[cb[j]:]``, so row ``i`` is gathered from ``store[cb[i:k] + i]``;
+    a ``singular`` triangle, or one with a zero on its diagonal, gets the
     minimum-norm least-squares solution instead."""
     k = len(g)
     y = np.array(g)
-    diagonal = store[base[:k] + np.arange(k)]
+    diagonal = store[cb[:k] + np.arange(k)]
     if singular or not diagonal.all():
         # stalled iteration on a singular operator: minimum-norm fallback on
         # the unpacked triangle (the rounding the rotations leave below the
         # diagonal is not unpacked)
         R = np.zeros((k, k))
-        for i in range(k):
-            R[i, i:] = store[base[i] + i: base[i] + k]
+        for j in range(k):
+            R[: j + 1, j] = store[cb[j]: cb[j] + j + 1]
         return np.linalg.lstsq(R, y, rcond=None)[0]
     for i in range(k - 1, -1, -1):
-        row = store[base[i] + i: base[i] + k]
+        row = store[cb[i:k] + i]
         y[i] = (y[i] - row[1:] @ y[i + 1:]) / row[0]
     return y
 

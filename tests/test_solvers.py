@@ -353,6 +353,27 @@ class TestGmres:
         m = min(cfg.restart or cfg.maxit, cfg.maxit, b.size)
         assert shapes == workspace_shapes(b.size, m)
 
+    def test_packed_store_writes_only_the_columns_of_the_steps_taken(self, monkeypatch):
+        # column j of the packed Hessenberg holds rows 0 .. j + 1 from
+        # j(j + 3)/2 on, so 176 steps write exactly the store's leading
+        # 176 * 179 / 2 entries and leave the pages past them untouched
+        A, b = layered_system(8, 1e-3)
+        shapes, _ = record_workspace(monkeypatch, fill=np.nan)
+        kept, recording_empty = [], np.empty
+
+        def keeping_empty(*args, **kwargs):
+            kept.append(recording_empty(*args, **kwargs))
+            return kept[-1]
+
+        monkeypatch.setattr(np, "empty", keeping_empty)
+        _, report = gmres_solve(A, b, SolverConfig(tol=1e-6, maxit=208))
+        assert (report.iterations, report.cycles) == (176, 1)
+        assert shapes == workspace_shapes(208, 208)
+        store = kept[1]
+        written = 176 * 179 // 2
+        assert not np.isnan(store[:written]).any()
+        assert np.isnan(store[written:]).all()
+
     def test_restarted_solve_allocates_one_workspace(self, monkeypatch):
         # GMRES(50) stagnates here and runs six cycles to maxit; a basis
         # allocated per cycle would be held twice while the next is made
