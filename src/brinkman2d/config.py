@@ -37,8 +37,12 @@ def _parse_number(value: str) -> float:
 def _parse_da(spec: str) -> tuple[float, ...]:
     if spec.startswith("logspace:"):
         start, end, count = spec[len("logspace:"):].split(",")
-        with np.errstate(over="ignore"):  # 10**400 becomes inf, rejected below
-            da = np.logspace(_parse_number(start), _parse_number(end), int(count))
+        exponents = np.linspace(_parse_number(start), _parse_number(end), int(count))
+        try:  # C pow, as ReferenceScales.darcy: np.logspace(-5, 5, 11) starts at
+            # 9.999999999999999e-06, which a table prints as 1.00000e-05
+            da = [10.0 ** e for e in exponents.tolist()]
+        except OverflowError as exc:  # 10**400 is not finite
+            raise ValueError(spec) from exc
     else:
         da = spec.split(",")
     return tuple(_parse_number(v) for v in da)

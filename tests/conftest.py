@@ -15,11 +15,16 @@ from brinkman2d import (
     normalize,
     sweep_darcy,
 )
+from brinkman2d.config import parse_config_text
 
 #: Replication settings for the regime sweep: 20x20 grid, layered field
 #: with contrast 1e5 in each direction, tol 1e-6, maxit 1240, full GMRES,
-#: Da (= anna) covering 1e-5..1e5 in decades.
-SWEEP_DA = tuple(float(v) for v in np.logspace(-5, 5, 11))
+#: Da (= anna) covering 1e-5..1e5 in decades, as the CLI parses
+#: ``sweep.da = logspace:-5,5,11``.
+SWEEP_DA = parse_config_text(
+    "grid.nx = 20\ngrid.ny = 20\nanna = 1.0\nfield.pattern = layered\n"
+    "sweep.da = logspace:-5,5,11\n"
+).da_values
 SWEEP_TOL = 1e-6
 
 

@@ -43,7 +43,7 @@ from conftest import SWEEP_TOL, blas_info
 #: written with ``timings=False``.
 CANONICAL_REGIME_TABLE = [
     "da,anna,kappa,kappa_flag,iterations,relres,regime,wall_ms",
-    "1.00000e-05,1.00000e-05,1.53590e+09,pinned,1142,9.98186e-07,darcy,0.00000e+00",
+    "1.00000e-05,1.00000e-05,1.53590e+09,pinned,1142,9.98219e-07,darcy,0.00000e+00",
     "1.00000e-04,1.00000e-04,1.53592e+09,pinned,1142,9.90539e-07,darcy,0.00000e+00",
     "1.00000e-03,1.00000e-03,1.53605e+09,pinned,1142,7.98960e-07,darcy,0.00000e+00",
     "1.00000e-02,1.00000e-02,1.53733e+09,pinned,1129,9.50357e-07,brinkman,0.00000e+00",

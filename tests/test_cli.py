@@ -82,7 +82,7 @@ bc.gy = 0.0
 solver.tol = 1e-06
 solver.maxit = 1240
 solver.pin_pressure = false
-sweep.da = 9.999999999999999e-06,0.0001,0.001,0.01,0.1,1.0,10.0,100.0,1000.0,10000.0,100000.0
+sweep.da = 1e-05,0.0001,0.001,0.01,0.1,1.0,10.0,100.0,1000.0,10000.0,100000.0
 output.dir = out
 output.timings = true
 """
@@ -182,6 +182,18 @@ class TestConfig:
             "sweep.da = logspace:-2,2,5\n"
         )
         np.testing.assert_allclose(config.da_values, np.logspace(-2, 2, 5))
+
+    def test_logspace_points_are_the_printed_decades(self):
+        # np.logspace(-5, 5, 11) starts at 9.999999999999999e-06, which a
+        # regime_table.csv row prints as 1.00000e-05: the row then names an
+        # anna one ulp off the one it solved
+        config = parse_config_text(
+            "grid.nx = 2\ngrid.ny = 2\nanna = 1.0\nfield.pattern = layered\n"
+            "sweep.da = logspace:-5,5,11\n"
+        )
+        assert config.da_values == (1e-05, 1e-04, 1e-03, 1e-02, 1e-01, 1.0, 1e1, 1e2, 1e3,
+                                    1e4, 1e5)
+        assert all(v == float(f"{v:.5e}") for v in config.da_values)
 
     def test_unknown_key_is_named(self):
         # solver.preconditioner and scales.u_ref are gone; older
@@ -933,7 +945,7 @@ class TestErrorPaths:
         def refuse(*args):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
-        monkeypatch.setattr(brinkman2d.config.np, "logspace", refuse)
+        monkeypatch.setattr(brinkman2d.config.np, "linspace", refuse)
         spec = "logspace:0,1,100000000000"
         cfg = write_cfg(tmp_path, SWEEP_CFG.format(out=tmp_path / "out").replace(
             "sweep.da = 1e-1,1.0,1e1", f"sweep.da = {spec}"))
