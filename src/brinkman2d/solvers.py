@@ -194,10 +194,9 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
     # works in the leading rows of Q and the leading columns of the
     # Hessenberg.  Only the upper triangle and the subdiagonal of H are ever
     # nonzero, so H lives column-packed in one 1-D store: column j holds
-    # rows 0 .. j + 1 contiguously and entry (i, j) sits at cb[j] + i, so a
-    # cycle of k steps writes (and faults in) only the leading cb[k] entries.
-    # The store is not cleared between cycles: a cycle reads only entries
-    # of its own columns, and it writes them first.
+    # rows 0 .. j + 1 contiguously from cb[j] = j(j + 3)/2 on, and entry
+    # (i, j) sits at cb[j] + i.  The store is not cleared between cycles: a
+    # cycle reads only entries of its own columns, and it writes them first.
     cols = np.arange(m_max + 1)
     cb = cols * (cols + 3) // 2
     Q, H = _empty_without_hugepages((m_max + 1, n), m_max + m_max * (m_max + 1) // 2)
