@@ -272,9 +272,8 @@ def _restarted_gmres(A, b, b_norm: float, cfg: SolverConfig, maxit: int, m_max: 
             np.divide(w, h_next, out=Q[k + 1])
 
         k_used = k + 1
-        # the cycle's rotations, once, row by row: rotation i turns rows i
-        # and i + 1 over columns i .. k_used - 1; row i is final and goes
-        # back to the store, and row i + 1 carries into rotation i + 1
+        # the cycle's rotations, once, row by row: rotated row i is final and
+        # goes back to the store, rotated row i + 1 carries into rotation i + 1
         top = H[cb[:k_used]]
         for i in range(k_used):
             c, s = cs[i], sn[i]
