@@ -1,5 +1,13 @@
 """2D staggered-grid finite-volume solver for the dimensionless
-Stokes-Brinkman equations in heterogeneous anisotropic porous media."""
+Stokes-Brinkman equations in heterogeneous anisotropic porous media.
+
+Importing the package loads numpy only.  ``scipy.sparse`` is imported by
+the functions that build or factor a sparse matrix, and
+``scipy.sparse.linalg`` (SuperLU, ARPACK: ~10 MB resident) by the sparse
+LU and the kappa runs alone.  So parsing a config, building grids and
+fields, ``gen-field`` and every refused config run without scipy, and a
+GMRES-only process never loads its linalg.
+"""
 
 from .analysis import (
     ConditionReport,

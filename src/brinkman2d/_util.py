@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import ctypes
 import os
+import sys
 import tempfile
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ConfigError(ValueError):
@@ -61,24 +61,36 @@ def release_freed_heap() -> None:
 
 
 def fix_mmap_threshold() -> None:
-    """Fix glibc's mmap threshold at 1 MiB (``mallopt(M_MMAP_THRESHOLD,
-    1 MiB)``); a no-op where libc has no ``mallopt``.  glibc otherwise
-    raises the threshold each time it frees a mapped block, so whether a
-    later large block is mapped or comes from the heap depends on what the
-    process freed before.  It changes the whole process's allocator, so
-    only the CLI calls it."""
+    """Fix glibc's two malloc thresholds: mmap at 1 MiB
+    (``mallopt(M_MMAP_THRESHOLD, 1 MiB)``) and trim off
+    (``mallopt(M_TRIM_THRESHOLD, -1)``), so heap pages go back to the OS
+    only through :func:`release_freed_heap`; a no-op where libc has no
+    ``mallopt``.  glibc otherwise raises both each time it frees a mapped
+    block, so they would depend on what the process freed before, and so on
+    its import order: a process that loads scipy only after this call would
+    keep the 128 KiB default trim threshold, under which each freed
+    heap-sized sparse product is trimmed and the next one faulted in again.
+    It changes the whole process's allocator, so only the CLI calls it."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, -1)  # M_TRIM_THRESHOLD
+
+
+def is_sparse(matrix) -> bool:
+    """Whether ``matrix`` is a scipy sparse matrix or array, without
+    importing scipy: none can exist before ``scipy.sparse`` is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(matrix)
 
 
 def checked_square_matrix(matrix):
     """``matrix`` as CSR when sparse, else as a float array, after checking
     that it is two-dimensional, square and free of NaN and inf."""
-    if sp.issparse(matrix):
+    if is_sparse(matrix):
         A = matrix.tocsr()
         values = A.data
     else:

@@ -19,13 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-# scipy.sparse.linalg (SuperLU, ARPACK: ~10 MB resident) is imported by
-# _sigma_max and solvers._sparse_lu, so a process that never asks for kappa
-# or a direct solve never loads it
-
-from ._util import atomic_write_text, checked_square_matrix
+from ._util import atomic_write_text, checked_square_matrix, is_sparse
 from .discretization import BoundaryData, assemble_divergence, assemble_monolithic
 from .grid import StaggeredGrid, boundary_velocity_mask, build_grid
 from .media import PermeabilityField, uniform_kstar
@@ -151,7 +146,7 @@ def condition_number(matrix) -> ConditionReport:
     ``sigma_min < SINGULAR_RTOL * sigma_max``.
     """
     A = _checked(matrix)
-    if sp.issparse(A):
+    if is_sparse(A):
         if A.shape[0] > 1:  # ARPACK needs k = 1 < n
             try:
                 return _report(*_singular_extremes(A))
@@ -167,7 +162,7 @@ def eigen_spectrum(matrix) -> SpectrumReport:
     ``min_abs_nonzero`` skips eigenvalues at or below ``NULLSPACE_TOL`` in
     magnitude."""
     A = _checked(matrix)
-    eigenvalues = np.linalg.eigvals(A.toarray() if sp.issparse(A) else A)
+    eigenvalues = np.linalg.eigvals(A.toarray() if is_sparse(A) else A)
     mags = np.sort(np.abs(eigenvalues))
     min_abs = float(mags[0])
     rest = mags[mags > NULLSPACE_TOL]

@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from ._util import NumericOverflowError, release_freed_heap
 from .grid import StaggeredGrid, boundary_velocity_mask
@@ -71,6 +74,8 @@ class MonolithicSystem:
 def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     """Canonical CSR (duplicates summed, indices sorted, as ``tocsr`` returns
     it) from lists of triplet arrays."""
+    import scipy.sparse as sp
+
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     ).tocsr()
@@ -204,6 +209,8 @@ def drag_coefficients(grid: StaggeredGrid, kstar: PermeabilityField) -> np.ndarr
 
 def assemble_drag(grid: StaggeredGrid, kstar: PermeabilityField) -> sp.csr_matrix:
     """Diagonal drag block over all velocity faces."""
+    import scipy.sparse as sp
+
     return sp.diags(drag_coefficients(grid, kstar), format="csr")
 
 
@@ -230,6 +237,8 @@ def assemble_monolithic(
     Raises :class:`NumericOverflowError` when finite inputs overflow an
     entry of the matrix or of the rhs.
     """
+    import scipy.sparse as sp
+
     if anna < 0.0:
         raise ValueError(f"anna must be >= 0, got {anna}")
     if anna == 0.0 and not include_drag:

@@ -27,10 +27,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-
-# scipy.sparse.linalg (SuperLU, ARPACK: ~10 MB resident) is imported by
-# _sparse_lu alone, so a GMRES-only process never loads it
 
 from ._util import ConfigError, NumericOverflowError, checked_square_matrix, release_freed_heap
 
@@ -332,6 +328,7 @@ def _sparse_lu(matrix):
     :class:`SingularMatrixError` on an empty row or column, naming its
     index, or on an exactly singular pivot.
     """
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     csc = sp.csc_matrix(matrix, copy=True)  # eliminate_zeros works in place

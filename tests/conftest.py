@@ -1,7 +1,10 @@
 import ctypes
 import glob
+import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,8 +63,35 @@ def thp_mode() -> str:
     return text[start + 1: end] if 0 <= start < end else "unknown"
 
 
+def fresh_python(code: str) -> str:
+    """The stdout of ``code`` run to success by a fresh interpreter that
+    imports ``brinkman2d`` from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """The ``scipy`` modules loaded once a fresh interpreter has run ``code``."""
+    report = ("\nimport json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    return json.loads(fresh_python(code + report).splitlines()[-1])
+
+
+def glibc_version() -> str:
+    """glibc's version string, or "unknown" where libc is not glibc.  The
+    malloc thresholds the CLI fixes are glibc's, and so is the page-fault
+    count the trim test reads."""
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION") or "unknown"
+    except (AttributeError, ValueError, OSError):
+        return "unknown"
+
+
 def pytest_report_header(config):
-    return f"blas: {blas_info()}; thp: {thp_mode()}"
+    return f"blas: {blas_info()}; thp: {thp_mode()}; libc: {glibc_version()}"
 
 
 @pytest.fixture(scope="session")

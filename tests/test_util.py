@@ -8,6 +8,7 @@ import pytest
 from brinkman2d import InvalidFieldError, build_grid, load_field, parse_config
 from brinkman2d._util import atomic_write_text, checked_square_matrix, fix_mmap_threshold
 from brinkman2d.config import ConfigError
+from conftest import fresh_python, glibc_version
 
 
 def test_failed_write_removes_the_temp_file_and_keeps_the_target(tmp_path):
@@ -53,7 +54,7 @@ class TestFixMmapThreshold:
         libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
         monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
         assert fix_mmap_threshold() is None
-        assert calls == [(-3, 1 << 20)]  # M_MMAP_THRESHOLD
+        assert calls == [(-3, 1 << 20), (-1, -1)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
         assert libc.mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
 
     def test_no_op_without_mallopt(self, monkeypatch):
@@ -66,3 +67,26 @@ class TestFixMmapThreshold:
 
         monkeypatch.setattr(ctypes, "CDLL", fail)
         assert fix_mmap_threshold() is None
+
+    @pytest.mark.skipif(glibc_version() == "unknown", reason="the thresholds are glibc's")
+    def test_scipy_imported_after_it_leaves_products_resident(self):
+        # with glibc's 128 KiB default trim threshold, each freed 400 KB
+        # product would be trimmed and the next one faulted in again
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from brinkman2d._util import fix_mmap_threshold\n"
+            "fix_mmap_threshold()\n"
+            "import scipy.sparse as sp\n"
+            "n = 50_000\n"
+            "A = sp.diags([np.ones(n - 1), np.full(n, 2.0), np.ones(n - 1)], [-1, 0, 1],\n"
+            "             format='csr')\n"
+            "x = np.ones(n)\n"
+            "y = A @ x\n"
+            "y = A @ x  # both blocks of the alternation are resident from here on\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(50):\n"
+            "    y = A @ x\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert int(fresh_python(code)) <= 2 * 50  # at most two minor faults per product
