@@ -223,7 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    fix_mmap_threshold()  # the same heap layout in every run, for this process only
+    # glibc's mmap and trim thresholds: the same heap layout in every run,
+    # whatever was imported first, for this process only
+    fix_mmap_threshold()
     try:
         config = parse_config(args.config)
         if args.out is not None:

@@ -36,7 +36,7 @@ from brinkman2d import (
 from brinkman2d.cli import main, write_scalar_field
 from brinkman2d.config import ConfigError, parse_config_text
 from brinkman2d.media import PATTERNS
-from conftest import blas_info, scipy_modules_after
+from conftest import blas_info, fresh_python, scipy_modules_after
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -1169,54 +1169,20 @@ class TestMmapThreshold:
             "import brinkman2d, brinkman2d.cli\n"
             "print(names)\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout == "[]\n"
+        assert fresh_python(code) == "[]\n"
 
 
-class TestScipyLoadsAtTheFirstAssembly:
-    """Importing the package, the set-up calls, ``gen-field`` and a refused
-    config run on numpy alone; ``scipy.sparse`` loads with the first sparse
-    operator, and ``scipy.sparse.linalg`` only with a direct solve or kappa."""
-
-    def test_import(self):
-        assert scipy_modules_after("import brinkman2d, brinkman2d.cli") == []
-
-    def test_set_up_calls(self, tmp_path):
-        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "out"))
-        code = (
-            "from brinkman2d import (build_grid, generate_contrast_field, normalize,\n"
-            "                        parse_config, write_field)\n"
-            f"config = parse_config({cfg!r})\n"
-            "grid = build_grid(config.nx, config.ny)\n"
-            "field = generate_contrast_field(grid, config.contrast_x, config.contrast_y,\n"
-            "                                config.field_pattern, config.seed)\n"
-            "normalize(field)\n"
-            f"write_field({str(tmp_path / 'k.txt')!r}, grid, field)\n"
-        )
-        assert scipy_modules_after(code) == []
-        assert (tmp_path / "k.txt").is_file()
-
-    @pytest.mark.parametrize("command, text, code", [
-        ("gen-field", UNIFORM_SOLVE, 0),
-        ("solve", UNIFORM_SOLVE + "solver.preconditioner = none\n", 2),  # unknown key
-        ("sweep", UNIFORM_SOLVE, 2),  # a command rule: a sweep requires a da list
-        ("solve", "grid.nx = 8\ngrid.ny = 8\nfield.path = {out}.txt\noutput.dir = {out}\n", 2),
-    ], ids=["gen-field", "parse-refusal", "command-refusal", "field-refusal"])
-    def test_cli_without_an_assembly(self, tmp_path, command, text, code):
-        (tmp_path / "out.txt").write_text("8x8\n")  # the refused field file's bad header
-        cfg = write_cfg(tmp_path, text.format(out=tmp_path / "out"))
-        run = f"from brinkman2d.cli import main\nassert main([{command!r}, {cfg!r}]) == {code}\n"
-        assert scipy_modules_after(run) == []
-
-    def test_solve_loads_scipy_sparse_but_not_its_linalg(self, tmp_path):
-        cfg = write_cfg(tmp_path, UNIFORM_SOLVE.format(out=tmp_path / "out"))
-        loaded = scipy_modules_after(
-            f"from brinkman2d.cli import main\nassert main(['solve', {cfg!r}]) == 0\n")
-        assert "scipy.sparse" in loaded
-        assert "scipy.sparse.linalg" not in loaded
+@pytest.mark.parametrize("command, text, code", [
+    ("gen-field", UNIFORM_SOLVE, 0),
+    ("solve", "grid.nx = 8\ngrid.ny = 8\nfield.path = {out}.txt\noutput.dir = {out}\n", 2),
+], ids=["gen-field", "refused-field"])
+def test_cli_without_an_assembly_loads_no_scipy(tmp_path, command, text, code):
+    # scipy.sparse loads at the first assembly; the refused field file
+    # passes the parse and the command rules first
+    (tmp_path / "out.txt").write_text("8x8\n")  # the refused field file's bad header
+    cfg = write_cfg(tmp_path, text.format(out=tmp_path / "out"))
+    run = f"from brinkman2d.cli import main\nassert main([{command!r}, {cfg!r}]) == {code}\n"
+    assert scipy_modules_after(run) == []
 
 
 def test_console_script_resolves_to_a_callable():

@@ -49,6 +49,9 @@ def test_not_utf8_refusal_counts_bytes_from_the_start_of_the_file(tmp_path, read
 
 
 class TestFixMmapThreshold:
+    """``fix_mmap_threshold`` fixes both of glibc's malloc thresholds, mmap
+    and trim."""
+
     def test_sets_a_1_mib_threshold(self, monkeypatch):
         calls = []
         libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
